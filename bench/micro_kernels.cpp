@@ -1,16 +1,17 @@
-// google-benchmark micro kernels: GEMM, masked softmax, layer norm, GELU,
-// the two attention execution paths (pure full-row vs slotted) on identical
-// payloads, and a full encoder layer at BERT-base dimensions. These quantify
-// the kernel-level redundancy the slotted scheme removes, independent of any
-// serving dynamics. The *Ref variants run the naive scalar reference kernels
-// (src/tensor/kernel_ref.hpp) so the blocked/SIMD speedup is visible in the
-// same JSON report.
+// google-benchmark micro kernels: GEMM (square, and the decode-shaped
+// Linear), masked softmax, layer norm, GELU, the two attention execution
+// paths (pure full-row vs slotted) on identical payloads, and a full encoder
+// layer at BERT-base dimensions. These quantify the kernel-level redundancy
+// the slotted scheme removes, independent of any serving dynamics. The *Ref
+// variants run the naive scalar reference kernels (src/tensor/kernel_ref.hpp)
+// so the blocked/SIMD speedup is visible in the same JSON report.
 #include <benchmark/benchmark.h>
 
 #include <string>
 
 #include "nn/attention.hpp"
 #include "nn/encoder.hpp"
+#include "nn/linear.hpp"
 #include "tensor/kernel_ref.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tuning.hpp"
@@ -32,6 +33,24 @@ void BM_Matmul(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
 BENCHMARK(BM_Matmul)->Arg(64)->Arg(128)->Arg(256);
+
+/// A decode step's vocab projection: m live tracks through a 128 -> 8000
+/// Linear, whose weights are packed once at construction. items/s counts
+/// 2 flops per multiply-add like BM_Matmul, so the two divide into a
+/// same-run ratio (scripts/check_bench_regression.py --ratio-gate).
+void BM_LinearDecode(benchmark::State& state) {
+  const Index m = state.range(0);
+  Rng rng(4);
+  const Linear lin(128, 8000, rng);
+  const Tensor x = Tensor::random_uniform(Shape{m, 128}, rng, 1.0f);
+  Tensor y;
+  for (auto _ : state) {
+    lin.forward(x, y);
+    benchmark::DoNotOptimize(y.raw());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * m * 128 * 8000);
+}
+BENCHMARK(BM_LinearDecode)->Arg(1)->Arg(16)->ArgName("m");
 
 void BM_MatmulRef(benchmark::State& state) {
   const Index n = state.range(0);

@@ -23,12 +23,21 @@ or above the saturation knee (--saturation-rate, default 200 req/s) the
 continuous pipeline must beat run-to-completion on both goodput and utility,
 or the iteration-level splicing machinery has regressed.
 
+A third mode gates throughput ratios within one report: each
+--ratio-gate NUM DEN FLOOR fails when NUM's wall-clock items/s divided by
+DEN's falls below FLOOR. Both numbers come from the same run on the same
+machine, so the ratio holds on any runner, unlike the absolute gate. CI uses
+it to hold the decode-shaped Linear (BM_LinearDecode) to a fraction of the
+square GEMM's rate (BM_Matmul/256).
+
 Usage:
   scripts/check_bench_regression.py --baseline BENCH_kernels.json \
       --current bench-results/BENCH_kernels.json \
       [--filter BM_Attention,BM_Matmul] [--threshold 0.25]
   scripts/check_bench_regression.py --continuous-csv continuous_batching.csv \
       [--saturation-rate 200]
+  scripts/check_bench_regression.py --current bench-results/BENCH_kernels.json \
+      --ratio-gate BM_LinearDecode/m:16 BM_Matmul/256 0.5
 
 Exit codes: 0 pass/skip, 1 regression, 2 bad input.
 """
@@ -110,6 +119,48 @@ def check_continuous_csv(path, saturation_rate):
     return 0
 
 
+def check_ratio_gates(path, gates):
+    """Gates items_per_second ratios between benchmarks of one report."""
+    try:
+        _, benches, _ = load_report(path)
+    except (OSError, ValueError, KeyError) as e:
+        print(f"check_bench_regression: {e}", file=sys.stderr)
+        return 2
+    # google-benchmark divides items by the main thread's CPU time; scale
+    # back to wall-clock time, which is what a multithreaded kernel saves.
+    rates = {b["name"]: b["items_per_second"] * b["cpu_time"] / b["real_time"]
+             for b in benches
+             if "aggregate_name" not in b and b.get("items_per_second")
+             and b.get("real_time")}
+
+    failures = []
+    for num, den, floor_text in gates:
+        try:
+            floor = float(floor_text)
+        except ValueError:
+            print(f"check_bench_regression: ratio floor '{floor_text}' is "
+                  "not a number", file=sys.stderr)
+            return 2
+        if not rates.get(num) or not rates.get(den):
+            print(f"check_bench_regression: {path}: no items/s for "
+                  f"'{num}' or '{den}'", file=sys.stderr)
+            return 2
+        ratio = rates[num] / rates[den]
+        ok = ratio >= floor
+        print(f"  {'ok' if ok else 'FAIL':4} {num} / {den}: "
+              f"{rates[num] / 1e9:.2f} / {rates[den] / 1e9:.2f} G items/s "
+              f"= {ratio:.3f} (floor {floor:g})")
+        if not ok:
+            failures.append(num)
+    if failures:
+        print(f"check_bench_regression: {len(failures)}/{len(gates)} ratio "
+              "gate(s) below their floor: " + ", ".join(failures))
+        return 1
+    print(f"check_bench_regression: PASS — {len(gates)} ratio gate(s) at or "
+          "above their floor")
+    return 0
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--baseline")
@@ -125,13 +176,21 @@ def main():
                          "google-benchmark report")
     ap.add_argument("--saturation-rate", type=float, default=200.0,
                     help="gate only rates at or above this (default: 200)")
+    ap.add_argument("--ratio-gate", nargs=3, action="append",
+                    metavar=("NUM", "DEN", "FLOOR"),
+                    help="fail when NUM's wall-clock items/s / DEN's in the "
+                         "--current report is below FLOOR (repeatable)")
     args = ap.parse_args()
 
     if args.continuous_csv:
         return check_continuous_csv(args.continuous_csv, args.saturation_rate)
+    if args.ratio_gate:
+        if not args.current:
+            ap.error("--ratio-gate needs --current")
+        return check_ratio_gates(args.current, args.ratio_gate)
     if not args.baseline or not args.current:
         ap.error("--baseline and --current are required unless "
-                 "--continuous-csv is given")
+                 "--continuous-csv or --ratio-gate is given")
 
     try:
         base_ctx, base_benches, base_wrap = load_report(args.baseline)

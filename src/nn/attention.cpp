@@ -1,6 +1,7 @@
 #include "nn/attention.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -131,6 +132,22 @@ Tensor MultiHeadAttention::encoder_forward(const Tensor& x,
   float* pout = heads_tl.raw();
   const Index dh = head_dim_;
 
+  // Task scratch (the K^T panel plus the scaled query) is carved per chunk
+  // from the calling thread's arena before the fan-out, so pool workers
+  // never grow arenas of their own: a worker that sat out every warm-up call
+  // cannot allocate later. parallel_for runs at most min(parallelism, tasks)
+  // chunks, and each claims one slab.
+  Index max_w = 0;
+  for (const Task& t : tasks) max_w = std::max(max_w, t.width);
+  const std::size_t chunks =
+      std::min(ThreadPool::global().parallelism(), tasks.size());
+  const std::size_t per_chunk =
+      (static_cast<std::size_t>(max_w + 1) * static_cast<std::size_t>(dh) + 15) &
+      ~std::size_t{15};
+  WorkspaceScope scratch_scope;
+  float* scratch = scratch_scope.alloc(chunks * per_chunk);
+  std::atomic<std::size_t> next_chunk TCB_LOCK_FREE{0};
+
   parallel_for(tasks.size(), [&, pq, pk, pv,
                               pout](std::size_t begin_task,
                                     std::size_t end_task) {
@@ -145,9 +162,13 @@ Tensor MultiHeadAttention::encoder_forward(const Tensor& x,
     // span under kRowShared), exactly like the fused kernel.
     //
     // Scores are produced by vertical FMAs over a K^T panel packed per task
-    // into workspace scratch: s[j] += q[c] * kt[c][j] for each of the dh
+    // into the chunk's scratch slab: s[j] += q[c] * kt[c][j] for each of the dh
     // channels, so the hot loop is straight-line axpy with no horizontal
     // reductions, and exp runs vectorized over the strip.
+    const std::size_t chunk = next_chunk.fetch_add(1, std::memory_order_relaxed);
+    TCB_DCHECK(chunk < chunks, "encoder_forward: more chunks than scratch slabs");
+    float* kt = scratch + chunk * per_chunk;
+    float* qs = kt + static_cast<std::size_t>(max_w) * static_cast<std::size_t>(dh);
     std::vector<std::pair<Index, Index>> spans;
     for (std::size_t ti = begin_task; ti < end_task; ++ti) {
       const Task& t = tasks[ti];
@@ -168,15 +189,9 @@ Tensor MultiHeadAttention::encoder_forward(const Tensor& x,
       const Index* shi = sc.span_hi_row(t.row);
       const Index t_end = t.begin + w;
 
-      // Task-lifetime scratch from this worker's arena; rewound on scope
-      // exit, so steady state allocates nothing.
-      WorkspaceScope scope;
       // kt: the task's K rows transposed to channel-major, kt[c*w + j] =
       // K[t.begin + j][c] — the layout that makes the score update a
       // contiguous axpy per channel.
-      float* kt =
-          scope.alloc(static_cast<std::size_t>(w) * static_cast<std::size_t>(dh));
-      float* qs = scope.alloc(static_cast<std::size_t>(dh));
       for (Index j = 0; j < w; ++j) {
         const float* kr = pk + (row_base + static_cast<std::size_t>(t.begin + j)) *
                                    static_cast<std::size_t>(d) +

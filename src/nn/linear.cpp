@@ -2,13 +2,11 @@
 
 #include <cmath>
 
-#include "tensor/ops.hpp"
-
 namespace tcb {
 
 Linear::Linear(Index in, Index out, Rng& rng)
-    : weight_(Tensor::random_uniform(
-          Shape{in, out}, rng, 1.0f / std::sqrt(static_cast<float>(in)))),
+    : weight_(PackedMatrix::random_uniform(
+          in, out, rng, 1.0f / std::sqrt(static_cast<float>(in)))),
       bias_(Shape{out}) {}
 
 Tensor Linear::forward(const Tensor& x) const {

@@ -1,42 +1,46 @@
-// Cache-blocked, register-tiled GEMM (matmul / matmul_nt).
+// One packed GEMM driver for every product the engine runs.
 //
-// Layout follows the classic GotoBLAS/BLIS decomposition, sized for the
-// shapes this engine actually runs (m up to a few thousand, k/n up to a few
-// thousand):
+// B lives in NR-column panels that span all of k (PackedMatrix, ops.hpp):
+// panel jp holds k rows of NR floats. Linear layers pack their weights that
+// way once, at construction; matmul / matmul_nt pack B into the calling
+// thread's workspace and then call the same driver:
 //
-//   for each kc-block of K (blk.kc depths):           L2-resident B slab
-//     pack B[kc, n] into NR-column panels (Bp)
-//     parallel over MR-row panels of A:               one chunk per worker(s)
-//       pack A[mr, kc] into a k-major panel (Ap)
-//       for each NR-column panel: microkernel         registers only
+//   parallel over row-block x column-block tasks      >= kMinMaddsPerTask each
+//     for each kc-block of k:
+//       pack a block of A rows k-major (stack buffer)  L2-resident
+//       for each NR-column panel of the task:           B panel in L1
+//         for each MR-row panel of the block:           registers only
+//           microkernel
 //
-// The microkernel computes an MR x NR tile held entirely in vector
-// registers. Each ISA compiles a small table of template-instantiated
-// variants (e.g. AVX-512: 8x32 / 12x32 / 8x16 / 4x64); which variant runs —
-// and how deep kc is — comes from tensor/tuning.hpp, which derives the
-// candidates from the detected L1/L2 geometry and trial-times them once per
-// process. Panels are zero-padded to full MR/NR so the microkernel has no
-// edge branches; the write-back clips to the valid region.
+// The microkernel computes an MR x NR tile held in vector registers. Each
+// ISA compiles a small table of template-instantiated variants (e.g.
+// AVX-512: 8x32 / 12x32 / 8x16 / 4x64); which variant runs for a plain
+// matmul, and how deep kc is, comes from tensor/tuning.hpp. Weight GEMMs run
+// only variants whose NR matches the packed panels. Every variant carries
+// row-count instantiations 1..MR of itself, so the bottom row panel runs
+// exactly the rows it has and no padded rows are computed. B panels are
+// zero-padded to NR columns; a partial column panel goes through a C tile on
+// the stack and the write-back clips to the valid region. Task scratch (the
+// A block, the C tile) is on the stack, so pool workers never touch their
+// workspace arenas.
 //
-// Scratch (the packed Ap/Bp panels and the C tile) lives in the per-thread
-// Workspace arena (tensor/workspace.hpp) instead of per-call std::vectors:
-// after the first call warms the arenas, repeated GEMMs perform zero heap
-// allocations.
-//
-// Numerical contract: every C element is one fused-multiply-add chain in
-// ascending k order per kc-block (lanes are distinct output columns, rows
-// are distinct accumulators), and the zero padding contributes exact 0.0f.
-// This holds for EVERY microkernel variant — changing MR/NR only moves an
-// element between registers, never reorders its chain — and the autotuner
-// keeps kc >= 256, so batched and single-request runs of the same layer
-// agree bitwise for k <= 256 exactly as before — the property the
-// concat-vs-single equivalence suite relies on. The small-m fast path below
-// produces the identical chain. The scalar reference (tcb::ref::matmul)
-// reassociates differently and is compared under tolerance instead.
+// Numerical contract: every C element is ONE fused-multiply-add chain in
+// ascending k over all of k, starting from 0.0f. The first kc-block starts
+// the accumulators at zero; later blocks reload them from C, which continues
+// the same chain because a float round-trips through memory exactly. Rows
+// are independent accumulators and lanes are independent output columns, so
+// m, kc, the microkernel variant, the task split and the thread count never
+// reach an element's bits: row i of C depends only on row i of A and on B.
+// Batched and single-request runs of a layer therefore agree bitwise for
+// every k — the property the concat-vs-single equivalence suites rely on.
+// The scalar reference (tcb::ref::matmul) reassociates differently and is
+// compared under tolerance instead.
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstddef>
 #include <stdexcept>
+#include <utility>
 
 #include "parallel/thread_pool.hpp"
 #include "tensor/ops.hpp"
@@ -51,25 +55,42 @@ void require(bool ok, const char* what) {
   if (!ok) throw std::invalid_argument(what);
 }
 
-/// Baseline packed-block depth (the autotuner's floor; see tuning.hpp).
+/// Default packed-block depth (the autotuner's floor; see tuning.hpp).
 constexpr Index kKc = 256;
+/// Deepest kc-block a task's stack A block holds; matches the autotuner's
+/// ceiling, deeper requests are clamped (kc never affects bits).
+constexpr Index kMaxKc = 1024;
+/// Floats in a task's A block (64 KiB): kMaxKc deep times the widest MR
+/// fits, and at the default kc it holds 64 rows.
+constexpr Index kABlockFloats = 16384;
+/// Largest MR and NR in any variant table below (bounds the C edge tile).
+constexpr Index kMaxMr = 12;
+constexpr Index kMaxNr = 64;
+/// Work floor per parallel task. Smaller tasks cost more in pool handoff
+/// than they gain: on the decode vocab projection (16x128x8000), a 32K
+/// floor ran end to end at 8.4k tokens/s and this one at 9.5k.
+constexpr double kMinMaddsPerTask = 262144.0;
 
 // --- microkernel variants --------------------------------------------------
 //
 // ukernel<MR, NV> computes an MR x (NV * lane-width) tile:
-// ctile[r * NR + j] = sum_p ap[p * MR + r] * bp[p * NR + j]. `ap` is k-major
-// (MR values per depth), `bp` likewise with NR values per depth; both are
-// zero-padded by the packers. Variants must keep MR * NV accumulators plus
-// NV B vectors plus one A broadcast inside the register file.
+// c[r * ldc + j] (+)= sum_p ap[p * MR + r] * bp[p * NR + j]. `ap` is k-major
+// (MR values per depth), `bp` likewise with NR values per depth. With
+// `accumulate` the accumulators start from the tile already in C (the chain
+// so far), else from zero. Variants must keep MR * NV accumulators plus NV B
+// vectors plus one A broadcast inside the register file.
 
 #if defined(TCB_SIMD_AVX512)
 
 template <int MR, int NV>
-void ukernel(Index kc, const float* ap, const float* bp, float* ctile) {
+void ukernel(Index kc, const float* ap, const float* bp, float* c, Index ldc,
+             bool accumulate) TCB_BITWISE {
   constexpr Index kNR = NV * 16;
   __m512 acc[MR][NV];
   for (int r = 0; r < MR; ++r)
-    for (int v = 0; v < NV; ++v) acc[r][v] = _mm512_setzero_ps();
+    for (int v = 0; v < NV; ++v)
+      acc[r][v] = accumulate ? _mm512_loadu_ps(c + r * ldc + 16 * v)
+                             : _mm512_setzero_ps();
   for (Index p = 0; p < kc; ++p) {
     __m512 b[NV];
     for (int v = 0; v < NV; ++v) b[v] = _mm512_loadu_ps(bp + p * kNR + 16 * v);
@@ -80,18 +101,20 @@ void ukernel(Index kc, const float* ap, const float* bp, float* ctile) {
     }
   }
   for (int r = 0; r < MR; ++r)
-    for (int v = 0; v < NV; ++v)
-      _mm512_storeu_ps(ctile + r * kNR + 16 * v, acc[r][v]);
+    for (int v = 0; v < NV; ++v) _mm512_storeu_ps(c + r * ldc + 16 * v, acc[r][v]);
 }
 
 #elif defined(TCB_SIMD_AVX2)
 
 template <int MR, int NV>
-void ukernel(Index kc, const float* ap, const float* bp, float* ctile) {
+void ukernel(Index kc, const float* ap, const float* bp, float* c, Index ldc,
+             bool accumulate) TCB_BITWISE {
   constexpr Index kNR = NV * 8;
   __m256 acc[MR][NV];
   for (int r = 0; r < MR; ++r)
-    for (int v = 0; v < NV; ++v) acc[r][v] = _mm256_setzero_ps();
+    for (int v = 0; v < NV; ++v)
+      acc[r][v] = accumulate ? _mm256_loadu_ps(c + r * ldc + 8 * v)
+                             : _mm256_setzero_ps();
   for (Index p = 0; p < kc; ++p) {
     __m256 b[NV];
     for (int v = 0; v < NV; ++v) b[v] = _mm256_loadu_ps(bp + p * kNR + 8 * v);
@@ -102,18 +125,19 @@ void ukernel(Index kc, const float* ap, const float* bp, float* ctile) {
     }
   }
   for (int r = 0; r < MR; ++r)
-    for (int v = 0; v < NV; ++v)
-      _mm256_storeu_ps(ctile + r * kNR + 8 * v, acc[r][v]);
+    for (int v = 0; v < NV; ++v) _mm256_storeu_ps(c + r * ldc + 8 * v, acc[r][v]);
 }
 
 #elif defined(TCB_SIMD_NEON)
 
 template <int MR, int NV>
-void ukernel(Index kc, const float* ap, const float* bp, float* ctile) {
+void ukernel(Index kc, const float* ap, const float* bp, float* c, Index ldc,
+             bool accumulate) TCB_BITWISE {
   constexpr Index kNR = NV * 4;
   float32x4_t acc[MR][NV];
   for (int r = 0; r < MR; ++r)
-    for (int v = 0; v < NV; ++v) acc[r][v] = vdupq_n_f32(0.0f);
+    for (int v = 0; v < NV; ++v)
+      acc[r][v] = accumulate ? vld1q_f32(c + r * ldc + 4 * v) : vdupq_n_f32(0.0f);
   for (Index p = 0; p < kc; ++p) {
     float32x4_t b[NV];
     for (int v = 0; v < NV; ++v) b[v] = vld1q_f32(bp + p * kNR + 4 * v);
@@ -123,230 +147,214 @@ void ukernel(Index kc, const float* ap, const float* bp, float* ctile) {
         acc[r][v] = vfmaq_n_f32(acc[r][v], b[v], arow[r]);
   }
   for (int r = 0; r < MR; ++r)
-    for (int v = 0; v < NV; ++v) vst1q_f32(ctile + r * kNR + 4 * v, acc[r][v]);
+    for (int v = 0; v < NV; ++v) vst1q_f32(c + r * ldc + 4 * v, acc[r][v]);
 }
 
 #else
 
-/// Scalar fallback: NV counts 8-wide column groups for the autovectorizer.
+/// Scalar fallback: NV counts 8-wide column groups for the autovectorizer;
+/// std::fma keeps the chain fused like the vector variants.
 template <int MR, int NV>
-void ukernel(Index kc, const float* ap, const float* bp, float* ctile) {
+void ukernel(Index kc, const float* ap, const float* bp, float* c, Index ldc,
+             bool accumulate) TCB_BITWISE {
   constexpr Index kNR = NV * 8;
-  float acc[MR * kNR] = {};
+  float acc[MR * kNR];
+  for (int r = 0; r < MR; ++r)
+    for (Index j = 0; j < kNR; ++j)
+      acc[r * kNR + j] = accumulate ? c[r * ldc + j] : 0.0f;
   for (Index p = 0; p < kc; ++p) {
     const float* arow = ap + p * MR;
     const float* brow = bp + p * kNR;
-    for (int r = 0; r < MR; ++r) {
-      const float av = arow[r];
-      for (Index j = 0; j < kNR; ++j) acc[r * kNR + j] += av * brow[j];
-    }
+    for (int r = 0; r < MR; ++r)
+      for (Index j = 0; j < kNR; ++j)
+        acc[r * kNR + j] = std::fma(arow[r], brow[j], acc[r * kNR + j]);
   }
-  for (Index i = 0; i < MR * kNR; ++i) ctile[i] = acc[i];
+  for (int r = 0; r < MR; ++r)
+    for (Index j = 0; j < kNR; ++j) c[r * ldc + j] = acc[r * kNR + j];
 }
 
 #endif
 
+using UkernelFn = void (*)(Index kc, const float* ap, const float* bp,
+                           float* c, Index ldc, bool accumulate);
+
+/// ukernel<1, NV> .. ukernel<MR, NV>: entry r - 1 runs r rows.
+template <int NV, int... R>
+constexpr std::array<UkernelFn, sizeof...(R)> make_row_kernels(
+    std::integer_sequence<int, R...>) {
+  return {&ukernel<R + 1, NV>...};
+}
+template <int MR, int NV>
+constexpr std::array<UkernelFn, MR> kRowKernels =
+    make_row_kernels<NV>(std::make_integer_sequence<int, MR>{});
+
 struct MicroKernel {
-  void (*fn)(Index kc, const float* ap, const float* bp, float* ctile);
+  const UkernelFn* by_rows;  ///< by_rows[r - 1] computes an r x nr tile
   Index mr;
   Index nr;
   const char* tag;
 };
 
+template <int MR, int NV>
+constexpr MicroKernel variant(Index lanes, const char* tag) {
+  return {kRowKernels<MR, NV>.data(), MR, NV * lanes, tag};
+}
+
 #if defined(TCB_SIMD_AVX512)
 // 8x32: 16 acc + 2 B + 1 bcast = 19 of 32 zmm. 12x32: 27. 8x16: 10 (less
 // L1 pressure per panel). 4x64: 21 (wide outputs).
 constexpr MicroKernel kMicroKernels[] = {
-    {&ukernel<8, 2>, 8, 32, "avx512_8x32"},
-    {&ukernel<12, 2>, 12, 32, "avx512_12x32"},
-    {&ukernel<8, 1>, 8, 16, "avx512_8x16"},
-    {&ukernel<4, 4>, 4, 64, "avx512_4x64"},
+    variant<8, 2>(16, "avx512_8x32"),
+    variant<12, 2>(16, "avx512_12x32"),
+    variant<8, 1>(16, "avx512_8x16"),
+    variant<4, 4>(16, "avx512_4x64"),
 };
 #elif defined(TCB_SIMD_AVX2)
 // 6x16: 12 acc + 2 B + 1 bcast = 15 of 16 ymm (full tilt). 4x16: 11.
 // 8x8: 10.
 constexpr MicroKernel kMicroKernels[] = {
-    {&ukernel<6, 2>, 6, 16, "avx2_6x16"},
-    {&ukernel<4, 2>, 4, 16, "avx2_4x16"},
-    {&ukernel<8, 1>, 8, 8, "avx2_8x8"},
+    variant<6, 2>(8, "avx2_6x16"),
+    variant<4, 2>(8, "avx2_4x16"),
+    variant<8, 1>(8, "avx2_8x8"),
 };
 #elif defined(TCB_SIMD_NEON)
 constexpr MicroKernel kMicroKernels[] = {
-    {&ukernel<8, 2>, 8, 8, "neon_8x8"},
-    {&ukernel<4, 4>, 4, 16, "neon_4x16"},
-    {&ukernel<8, 1>, 8, 4, "neon_8x4"},
+    variant<8, 2>(4, "neon_8x8"),
+    variant<4, 4>(4, "neon_4x16"),
+    variant<8, 1>(4, "neon_8x4"),
 };
 #else
 constexpr MicroKernel kMicroKernels[] = {
-    {&ukernel<4, 1>, 4, 8, "scalar_4x8"},
+    variant<4, 1>(8, "scalar_4x8"),
 };
 #endif
 
 constexpr int kDefaultKernel = 0;
-constexpr Index kMr = kMicroKernels[kDefaultKernel].mr;
-constexpr Index kNr = kMicroKernels[kDefaultKernel].nr;
+/// Panel width of PackedMatrix: the ISA-default microkernel's NR.
+constexpr Index kPackedNr = kMicroKernels[kDefaultKernel].nr;
 
-/// Packs B[k0:k0+kc, 0:n] (row-major, leading dim n) into nr-column panels:
-/// panel jp holds kc rows of nr floats, zero-padded past column n. `bp` is
-/// raw workspace memory, so padding is written explicitly.
-void pack_b(const float* b, Index n, Index k0, Index kc, Index nr,
-            float* bp) TCB_BITWISE {
+constexpr bool fits_scratch() {
+  for (const MicroKernel& uk : kMicroKernels)
+    if (uk.mr > kMaxMr || uk.nr > kMaxNr) return false;
+  return kMaxMr * kMaxKc <= kABlockFloats;
+}
+static_assert(fits_scratch(), "a variant outgrows the stack A block or C tile");
+
+/// Packs B (k x n, element (p, j) at b[p * row_stride + j * col_stride])
+/// into nr-column panels that span all of k, zero-padded past column n:
+/// row-major B has strides (n, 1), and the (n, k) operand of matmul_nt
+/// packs its transpose with strides (1, k). `bp` is raw workspace memory,
+/// so padding is written explicitly.
+void pack_b(const float* b, Index k, Index n, Index row_stride,
+            Index col_stride, Index nr, float* bp) TCB_BITWISE {
   const Index panels = (n + nr - 1) / nr;
   for (Index jp = 0; jp < panels; ++jp) {
     const Index j0 = jp * nr;
     const Index jn = std::min<Index>(nr, n - j0);
     float* dst = bp + static_cast<std::size_t>(jp) *
-                          static_cast<std::size_t>(kc) * nr;
-    for (Index p = 0; p < kc; ++p) {
-      const float* src =
-          b + static_cast<std::size_t>(k0 + p) * static_cast<std::size_t>(n) + j0;
-      for (Index j = 0; j < jn; ++j) dst[p * nr + j] = src[j];
+                          static_cast<std::size_t>(k) * nr;
+    for (Index p = 0; p < k; ++p) {
+      const float* src = b + p * row_stride + j0 * col_stride;
+      for (Index j = 0; j < jn; ++j) dst[p * nr + j] = src[j * col_stride];
       for (Index j = jn; j < nr; ++j) dst[p * nr + j] = 0.0f;
     }
   }
 }
 
-/// Same panel layout, but the source is B(n,k) row-major and we need its
-/// transpose: Bp[p][j] = B[j0+j, k0+p]. Used by matmul_nt.
-void pack_b_transposed(const float* b, Index n, Index k, Index k0, Index kc,
-                       Index nr, float* bp) TCB_BITWISE {
-  const Index panels = (n + nr - 1) / nr;
-  for (Index jp = 0; jp < panels; ++jp) {
-    const Index j0 = jp * nr;
-    const Index jn = std::min<Index>(nr, n - j0);
-    float* dst = bp + static_cast<std::size_t>(jp) *
-                          static_cast<std::size_t>(kc) * nr;
-    for (Index j = 0; j < jn; ++j) {
-      const float* src =
-          b + static_cast<std::size_t>(j0 + j) * static_cast<std::size_t>(k) + k0;
-      for (Index p = 0; p < kc; ++p) dst[p * nr + j] = src[p];
+/// Packs rows [i0, i0+rows) x depths [k0, k0+kc) of A (row-major, leading
+/// dim k) as consecutive row panels of up to mr rows. A panel of r rows is
+/// k-major with stride r, the layout ukernel<r, NV> reads, and starts at
+/// offset (its first row - i0) * kc.
+void pack_a(const float* a, Index k, Index i0, Index rows, Index k0, Index kc,
+            Index mr, float* ap) TCB_BITWISE {
+  for (Index off = 0; off < rows; off += mr) {
+    const Index r_n = std::min<Index>(mr, rows - off);
+    float* dst = ap + static_cast<std::size_t>(off) * static_cast<std::size_t>(kc);
+    for (Index r = 0; r < r_n; ++r) {
+      const float* src = a +
+                         static_cast<std::size_t>(i0 + off + r) *
+                             static_cast<std::size_t>(k) +
+                         static_cast<std::size_t>(k0);
+      for (Index p = 0; p < kc; ++p) dst[p * r_n + r] = src[p];
     }
-    for (Index j = jn; j < nr; ++j)
-      for (Index p = 0; p < kc; ++p) dst[p * nr + j] = 0.0f;
   }
 }
 
-/// Packs A[i0:i0+mr, k0:k0+kc] (row-major, leading dim k) k-major into `ap`,
-/// zero-padding rows past mr up to mr_max.
-void pack_a(const float* a, Index k, Index i0, Index mr, Index k0, Index kc,
-            Index mr_max, float* ap) TCB_BITWISE {
-  for (Index p = 0; p < kc; ++p) {
-    float* dst = ap + p * mr_max;
-    for (Index r = 0; r < mr; ++r)
-      dst[r] = a[static_cast<std::size_t>(i0 + r) * static_cast<std::size_t>(k) +
-                 static_cast<std::size_t>(k0 + p)];
-    for (Index r = mr; r < mr_max; ++r) dst[r] = 0.0f;
-  }
-}
-
-/// Blocked driver shared by matmul and matmul_nt; `transposed_b` selects the
-/// B packing. C must already have shape (m, n).
-void gemm_blocked(const float* pa, const float* pb, float* pc, Index m,
-                  Index k, Index n, bool transposed_b,
-                  const GemmBlocking& blk) TCB_BITWISE {
-  const MicroKernel& uk = kMicroKernels[blk.kernel];
-  const Index mr_max = uk.mr;
+/// The driver: C(m,n) = A(m,k) * B, with B packed in uk.nr-column panels
+/// spanning all of k. C must already have shape (m, n).
+void gemm_packed(const float* a, Index m, Index k, const float* bp, Index n,
+                 const MicroKernel& uk, Index kc_req, float* c) TCB_BITWISE {
+  const Index mr = uk.mr;
   const Index nr = uk.nr;
-  const Index row_panels = (m + mr_max - 1) / mr_max;
+  const Index row_panels = (m + mr - 1) / mr;
   const Index col_panels = (n + nr - 1) / nr;
-  const std::size_t grain_rows = gemm_grain(m, n, k);
-  const std::size_t grain_panels =
-      std::max<std::size_t>(1, grain_rows / static_cast<std::size_t>(mr_max));
+  const GemmTaskGrid grid = gemm_task_grid(m, n, k, mr, nr);
+  const Index kc_max = std::clamp<Index>(kc_req, 1, kMaxKc);
+  const Index block_rows =
+      std::max<Index>(mr, kABlockFloats / std::min(kc_max, k) / mr * mr);
+  const auto panel_floats = static_cast<std::size_t>(k) * nr;
 
-  // One packed B slab per kc-block, packed on the calling thread and shared
-  // read-only by all workers. The slab is workspace scratch sized for the
-  // deepest block and reused across blocks; the scope spans the blocking
-  // parallel_for calls, so worker reads always see live storage.
-  WorkspaceScope bscope;
-  const Index kc_max = std::min<Index>(blk.kc, k);
-  float* bp = bscope.alloc(static_cast<std::size_t>(col_panels) *
-                           static_cast<std::size_t>(kc_max) *
-                           static_cast<std::size_t>(nr));
-  for (Index k0 = 0; k0 < k; k0 += blk.kc) {
-    const Index kc = std::min<Index>(blk.kc, k - k0);
-    if (transposed_b)
-      pack_b_transposed(pb, n, k, k0, kc, nr, bp);
-    else
-      pack_b(pb, n, k0, kc, nr, bp);
-    const bool first_block = k0 == 0;
-
-    parallel_for(
-        static_cast<std::size_t>(row_panels),
-        [&, bp](std::size_t begin, std::size_t end) {
-          // Per-worker scratch from the executing thread's arena. On the
-          // calling thread this nests LIFO inside bscope; pool workers use
-          // their own arenas.
-          WorkspaceScope wscope;
-          float* ap = wscope.alloc(static_cast<std::size_t>(mr_max) *
-                                   static_cast<std::size_t>(kc));
-          float* ctile = wscope.alloc(static_cast<std::size_t>(mr_max) *
-                                      static_cast<std::size_t>(nr));
-          for (std::size_t rp = begin; rp < end; ++rp) {
-            const Index i0 = static_cast<Index>(rp) * mr_max;
-            const Index mr = std::min<Index>(mr_max, m - i0);
-            pack_a(pa, k, i0, mr, k0, kc, mr_max, ap);
-            for (Index jp = 0; jp < col_panels; ++jp) {
-              const Index j0 = jp * nr;
-              const Index jn = std::min<Index>(nr, n - j0);
-              const float* bpanel = bp + static_cast<std::size_t>(jp) *
-                                            static_cast<std::size_t>(kc) * nr;
-              uk.fn(kc, ap, bpanel, ctile);
-              for (Index r = 0; r < mr; ++r) {
-                float* crow = pc + static_cast<std::size_t>(i0 + r) *
-                                       static_cast<std::size_t>(n) +
-                              j0;
-                const float* trow = ctile + r * nr;
-                if (first_block)
-                  for (Index j = 0; j < jn; ++j) crow[j] = trow[j];
-                else
-                  for (Index j = 0; j < jn; ++j) crow[j] += trow[j];
+  parallel_for(
+      static_cast<std::size_t>(grid.row_blocks * grid.col_blocks),
+      [&](std::size_t begin, std::size_t end) {
+        alignas(64) float ablock[kABlockFloats];
+        alignas(64) float ctile[kMaxMr * kMaxNr] = {};
+        for (std::size_t t = begin; t < end; ++t) {
+          const Index rb = static_cast<Index>(t) / grid.col_blocks;
+          const Index cb = static_cast<Index>(t) % grid.col_blocks;
+          const Index i_begin = row_panels * rb / grid.row_blocks * mr;
+          const Index i_end =
+              std::min(m, row_panels * (rb + 1) / grid.row_blocks * mr);
+          const Index jp_begin = col_panels * cb / grid.col_blocks;
+          const Index jp_end = col_panels * (cb + 1) / grid.col_blocks;
+          for (Index k0 = 0; k0 < k; k0 += kc_max) {
+            const Index kc = std::min(kc_max, k - k0);
+            const bool accumulate = k0 > 0;
+            for (Index ib = i_begin; ib < i_end; ib += block_rows) {
+              const Index rows = std::min(block_rows, i_end - ib);
+              pack_a(a, k, ib, rows, k0, kc, mr, ablock);
+              for (Index jp = jp_begin; jp < jp_end; ++jp) {
+                const Index j0 = jp * nr;
+                const Index jn = std::min(nr, n - j0);
+                const float* bpanel = bp + static_cast<std::size_t>(jp) * panel_floats +
+                                      static_cast<std::size_t>(k0) * nr;
+                for (Index off = 0; off < rows; off += mr) {
+                  const Index r_n = std::min(mr, rows - off);
+                  const UkernelFn fn = uk.by_rows[r_n - 1];
+                  const float* ap = ablock + off * kc;
+                  float* cblk = c + static_cast<std::size_t>(ib + off) *
+                                        static_cast<std::size_t>(n) +
+                                j0;
+                  if (jn == nr) {
+                    fn(kc, ap, bpanel, cblk, n, accumulate);
+                    continue;
+                  }
+                  // Partial column panel: run the full-width tile on the
+                  // stack and write back only the valid columns.
+                  if (accumulate)
+                    for (Index r = 0; r < r_n; ++r)
+                      std::copy_n(cblk + r * n, jn, ctile + r * nr);
+                  fn(kc, ap, bpanel, ctile, nr, accumulate);
+                  for (Index r = 0; r < r_n; ++r)
+                    std::copy_n(ctile + r * nr, jn, cblk + r * n);
+                }
               }
             }
           }
-        },
-        grain_panels);
+        }
+      });
+}
+
+/// Shapes C to (m, n); false when there is nothing to multiply (C is then
+/// complete: empty, or zero-filled for k == 0).
+bool prepare(Index m, Index k, Index n, Tensor& c) {
+  if (!(c.shape() == Shape{m, n})) c = Tensor(Shape{m, n});
+  if (m == 0 || n == 0) return false;
+  if (k == 0) {
+    c.fill(0.0f);
+    return false;
   }
-}
-
-/// Row-streaming path for short matrices (decode steps, tiny test shapes):
-/// per row, C_row = sum_p a[p] * B_row(p) via SIMD axpy (matmul) or per
-/// element dots (matmul_nt). No packing, so nothing to amortize.
-void gemm_small_nn(const float* pa, const float* pb, float* pc, Index m,
-                   Index k, Index n) TCB_BITWISE {
-  parallel_for(
-      static_cast<std::size_t>(m),
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          float* crow = pc + i * static_cast<std::size_t>(n);
-          for (Index j = 0; j < n; ++j) crow[j] = 0.0f;
-          const float* arow = pa + i * static_cast<std::size_t>(k);
-          for (Index p = 0; p < k; ++p)
-            simd::axpy(arow[p], pb + static_cast<std::size_t>(p) * n, crow, n);
-        }
-      },
-      gemm_grain(m, n, k));
-}
-
-void gemm_small_nt(const float* pa, const float* pb, float* pc, Index m,
-                   Index k, Index n) TCB_BITWISE {
-  parallel_for(
-      static_cast<std::size_t>(m),
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          const float* arow = pa + i * static_cast<std::size_t>(k);
-          float* crow = pc + i * static_cast<std::size_t>(n);
-          for (Index j = 0; j < n; ++j)
-            crow[j] = simd::dot(arow, pb + static_cast<std::size_t>(j) * k, k);
-        }
-      },
-      gemm_grain(m, n, k));
-}
-
-/// The blocked path needs enough rows to amortize packing B (one sweep over
-/// k*n) and enough columns for full vector panels. Thresholds use the
-/// ISA-default tile so the routing decision is independent of tuning.
-bool use_blocked(Index m, Index n, Index k) {
-  return m >= 2 * kMr && n >= kNr && k >= 8;
+  return true;
 }
 
 }  // namespace
@@ -368,8 +376,8 @@ GemmKernelInfo gemm_kernel_info(std::size_t i) noexcept {
 GemmBlocking gemm_default_blocking() {
   GemmBlocking b;
   b.kc = kKc;
-  b.mr = kMr;
-  b.nr = kNr;
+  b.mr = kMicroKernels[kDefaultKernel].mr;
+  b.nr = kPackedNr;
   b.kernel = kDefaultKernel;
   b.tag = std::string(kMicroKernels[kDefaultKernel].tag) + "/kc" +
           std::to_string(kKc);
@@ -384,42 +392,89 @@ void gemm_blocked_with(const float* a, const float* b, float* c, Index m,
               static_cast<std::size_t>(blk.kernel) < gemm_kernel_count() &&
               blk.kc > 0,
           "gemm_blocked_with: invalid blocking");
-  gemm_blocked(a, b, c, m, k, n, transposed_b, blk);
+  // B is packed into the calling thread's workspace; the scope outlives the
+  // blocking parallel_for, so worker reads always see live storage.
+  const MicroKernel& uk = kMicroKernels[blk.kernel];
+  WorkspaceScope scope;
+  float* bp = scope.alloc(static_cast<std::size_t>((n + uk.nr - 1) / uk.nr) *
+                          static_cast<std::size_t>(k) *
+                          static_cast<std::size_t>(uk.nr));
+  if (transposed_b)
+    pack_b(b, k, n, 1, k, uk.nr, bp);
+  else
+    pack_b(b, k, n, n, 1, uk.nr, bp);
+  gemm_packed(a, m, k, bp, n, uk, blk.kc, c);
 }
 
-std::size_t gemm_grain(Index m, Index n, Index k) {
-  // Rows per parallel chunk. Two pressures: a chunk must carry enough
-  // multiply-adds to pay for the pool handoff (floor), and the row range
-  // should split into only a few chunks per worker so a 4096-row GEMM does
-  // not fan out into hundreds of tiny tasks (ceiling). The old heuristic
-  // (65536 / (n*k) + 1 rows) ignored the pool size entirely.
-  constexpr double kMinMaddsPerChunk = 32768.0;
-  const double per_row = static_cast<double>(n) * static_cast<double>(k);
-  if (m <= 0 || per_row <= 0.0) return 1;
-  const auto rows_for_floor = static_cast<std::size_t>(
-      std::ceil(kMinMaddsPerChunk / per_row));
-  const double workers =
-      static_cast<double>(ThreadPool::global().parallelism());
-  const auto rows_for_fanout = static_cast<std::size_t>(
-      std::ceil(static_cast<double>(m) / (3.0 * workers)));
-  return std::max<std::size_t>(1, std::max(rows_for_floor, rows_for_fanout));
+GemmTaskGrid gemm_task_grid(Index m, Index n, Index k, Index mr, Index nr) {
+  GemmTaskGrid g;
+  if (m <= 0 || n <= 0 || k <= 0 || mr <= 0 || nr <= 0) return g;
+  const Index row_panels = (m + mr - 1) / mr;
+  const Index col_panels = (n + nr - 1) / nr;
+  const double madds =
+      static_cast<double>(m) * static_cast<double>(n) * static_cast<double>(k);
+  const auto workers =
+      static_cast<Index>(ThreadPool::global().parallelism());
+  const Index tasks = std::clamp<Index>(
+      static_cast<Index>(madds / kMinMaddsPerTask), 1, std::max<Index>(1, workers));
+  // Cut the side whose operand is larger, so each task streams only its
+  // share of it: columns when B (k x n) outweighs A (m x k), as in every
+  // decode step; rows for long activations. The other side takes whatever
+  // task count is left.
+  if (n >= m) {
+    g.col_blocks = std::min(col_panels, tasks);
+    g.row_blocks = std::min(row_panels, tasks / g.col_blocks);
+  } else {
+    g.row_blocks = std::min(row_panels, tasks);
+    g.col_blocks = std::min(col_panels, tasks / g.row_blocks);
+  }
+  return g;
+}
+
+PackedMatrix::PackedMatrix(Index k, Index n) : k_(k), n_(n), nr_(kPackedNr) {
+  require(k >= 0 && n >= 0, "PackedMatrix: negative extent");
+  data_.assign(static_cast<std::size_t>((n + nr_ - 1) / nr_) *
+                   static_cast<std::size_t>(k) * static_cast<std::size_t>(nr_),
+               0.0f);
+}
+
+PackedMatrix PackedMatrix::random_uniform(Index k, Index n, Rng& rng,
+                                          float scale) {
+  PackedMatrix pm(k, n);
+  // Row-major draw order, the order Tensor::random_uniform uses, written
+  // straight to each element's panel slot.
+  const Index panels = (n + pm.nr_ - 1) / pm.nr_;
+  for (Index p = 0; p < k; ++p)
+    for (Index jp = 0; jp < panels; ++jp) {
+      float* dst = pm.data_.data() +
+                   (static_cast<std::size_t>(jp) * static_cast<std::size_t>(k) +
+                    static_cast<std::size_t>(p)) *
+                       static_cast<std::size_t>(pm.nr_);
+      const Index jn = std::min(pm.nr_, n - jp * pm.nr_);
+      for (Index j = 0; j < jn; ++j) dst[j] = rng.weight(scale);
+    }
+  return pm;
+}
+
+Tensor PackedMatrix::unpack() const {
+  Tensor b(Shape{k_, n_});
+  for (Index p = 0; p < k_; ++p)
+    for (Index j = 0; j < n_; ++j)
+      b.at(p, j) = data_[(static_cast<std::size_t>(j / nr_) *
+                              static_cast<std::size_t>(k_) +
+                          static_cast<std::size_t>(p)) *
+                             static_cast<std::size_t>(nr_) +
+                         static_cast<std::size_t>(j % nr_)];
+  return b;
 }
 
 void matmul(const Tensor& a, const Tensor& b, Tensor& c) {
   require(a.rank() == 2 && b.rank() == 2, "matmul: rank-2 operands required");
   const Index m = a.dim(0), k = a.dim(1), n = b.dim(1);
   require(b.dim(0) == k, "matmul: inner dimension mismatch");
-  if (!(c.shape() == Shape{m, n})) c = Tensor(Shape{m, n});
-  if (m == 0 || n == 0) return;
-  if (k == 0) {
-    c.fill(0.0f);
-    return;
-  }
-  if (use_blocked(m, n, k))
-    gemm_blocked(a.raw(), b.raw(), c.raw(), m, k, n, /*transposed_b=*/false,
-                 select_blocking(classify_gemm(m, n)));
-  else
-    gemm_small_nn(a.raw(), b.raw(), c.raw(), m, k, n);
+  if (!prepare(m, k, n, c)) return;
+  gemm_blocked_with(a.raw(), b.raw(), c.raw(), m, k, n,
+                    /*transposed_b=*/false, select_blocking(classify_gemm(m, n)));
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
@@ -428,21 +483,27 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   return c;
 }
 
+void matmul(const Tensor& a, const PackedMatrix& b, Tensor& c) {
+  require(a.rank() == 2, "matmul: rank-2 operands required");
+  const Index m = a.dim(0), k = a.dim(1), n = b.cols();
+  require(b.rows() == k, "matmul: inner dimension mismatch");
+  if (!prepare(m, k, n, c)) return;
+  // The tuned variant when it reads this panel width, else the default
+  // variant, which defines it.
+  const GemmBlocking& blk = select_blocking(classify_gemm(m, n));
+  const MicroKernel& uk = kMicroKernels[blk.nr == b.panel_width()
+                                            ? blk.kernel
+                                            : kDefaultKernel];
+  gemm_packed(a.raw(), m, k, b.raw(), n, uk, blk.kc, c.raw());
+}
+
 void matmul_nt(const Tensor& a, const Tensor& b, Tensor& c) {
   require(a.rank() == 2 && b.rank() == 2, "matmul_nt: rank-2 operands required");
   const Index m = a.dim(0), k = a.dim(1), n = b.dim(0);
   require(b.dim(1) == k, "matmul_nt: inner dimension mismatch");
-  if (!(c.shape() == Shape{m, n})) c = Tensor(Shape{m, n});
-  if (m == 0 || n == 0) return;
-  if (k == 0) {
-    c.fill(0.0f);
-    return;
-  }
-  if (use_blocked(m, n, k))
-    gemm_blocked(a.raw(), b.raw(), c.raw(), m, k, n, /*transposed_b=*/true,
-                 select_blocking(classify_gemm(m, n)));
-  else
-    gemm_small_nt(a.raw(), b.raw(), c.raw(), m, k, n);
+  if (!prepare(m, k, n, c)) return;
+  gemm_blocked_with(a.raw(), b.raw(), c.raw(), m, k, n,
+                    /*transposed_b=*/true, select_blocking(classify_gemm(m, n)));
 }
 
 Tensor matmul_nt(const Tensor& a, const Tensor& b) {

@@ -62,9 +62,10 @@ CacheGeometry detect_geometry() {
 
 // --- candidate generation --------------------------------------------------
 
-/// kc floor preserving gemm.cpp's bitwise batching-invariance contract for
-/// k <= 256 (see the numerical-contract comment there); candidates never go
-/// below it.
+/// Candidate kc range. The floor is the pre-autotuner default; shallower
+/// blocks only add C reloads. The ceiling is the deepest kc-block gemm.cpp's
+/// stack A block holds. Neither bound affects results (see the
+/// numerical-contract comment in gemm.cpp).
 constexpr Index kKcFloor = 256;
 constexpr Index kKcCeil = 1024;
 

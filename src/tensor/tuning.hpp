@@ -1,6 +1,6 @@
 // Cache-geometry detection and the GEMM blocking autotuner.
 //
-// The blocked GEMM (gemm.cpp) used to hard-code kc = 256 and one MR x NR
+// The GEMM driver (gemm.cpp) used to hard-code kc = 256 and one MR x NR
 // register tile per ISA. Those numbers were chosen for one machine; on a
 // part with a bigger L2 a deeper kc amortizes packing better, and tall/wide
 // output shapes favor different register tiles. This header exposes:
@@ -18,11 +18,11 @@
 //                          in a measured region) plus optional persistence
 //                          via TCB_TUNE_CACHE=<file>.
 //
-// Determinism: every candidate keeps kc >= 256, which preserves gemm.cpp's
-// bitwise concat-equivalence contract for k <= 256 (one FMA chain per
-// element regardless of the tile), and a process uses one published choice
-// for all GEMMs of a class, so intra-process differential tests are
-// unaffected. Tuning defaults ON in optimized builds (NDEBUG) and OFF in
+// Determinism: the choice is a pure speed decision. gemm.cpp computes every
+// element as one ascending-k FMA chain over all of k whatever kc and the
+// register tile are, so no candidate can change a bit of any result, and
+// weight GEMMs only run variants whose NR matches their packed panels.
+// Tuning defaults ON in optimized builds (NDEBUG) and OFF in
 // debug/sanitizer builds; TCB_GEMM_AUTOTUNE=1/0 overrides either way.
 #pragma once
 
@@ -94,11 +94,11 @@ struct GemmKernelInfo {
 /// The pre-autotuner blocking: the ISA-default microkernel at kc = 256.
 [[nodiscard]] GemmBlocking gemm_default_blocking();
 
-/// Runs C(m,n) = A(m,k) * B once through the blocked path with an explicit
-/// blocking — the tuner's trial entry point. B is (k,n) row-major, or (n,k)
-/// when `transposed_b`.
-/// TCB_BITWISE: every candidate blocking keeps the per-element ascending-k
-/// FMA chain (kc >= 256 floor), so the result is tile-independent.
+/// Runs C(m,n) = A(m,k) * B once through the GEMM driver with an explicit
+/// blocking (B packed per call, as in matmul) — the tuner's trial entry
+/// point. B is (k,n) row-major, or (n,k) when `transposed_b`.
+/// TCB_BITWISE: every blocking yields the same per-element ascending-k FMA
+/// chain, so the result is blocking-independent.
 void gemm_blocked_with(const float* a, const float* b, float* c, Index m,
                        Index k, Index n, bool transposed_b,
                        const GemmBlocking& blk) TCB_BITWISE;

@@ -42,24 +42,29 @@ float* Workspace::alloc(std::size_t n_floats) {
       kAlignFloats, (n_floats + kAlignFloats - 1) & ~(kAlignFloats - 1));
   if (active_ >= chunks_.size() || chunks_[active_].capacity - offset_ < n) {
     if (active_ < chunks_.size()) used_before_active_ += offset_;
-    // Overflow: open a new chunk directly after the active one. Chunks that
-    // were already behind that position are pushed back, never reused on
-    // this pass — but on the next identical pass the same walk finds the
-    // bigger chunk in place, so a warmed arena never allocates again.
-    const std::size_t grown =
-        chunks_.empty() ? kMinChunkFloats : 2 * chunks_.back().capacity;
-    const std::size_t cap = std::max({n, kMinChunkFloats, grown});
-    Chunk c;
-    c.storage.resize(cap + kAlignFloats);
-    c.capacity = cap;
+    // Overflow: move to the chunk directly after the active one. An earlier
+    // pass may have left one there (dead now, since every scope above it has
+    // rewound); reuse it when it is big enough, else replace it with a
+    // bigger one. Either way the chunk count only grows when the arena's
+    // depth does, so repeating the same traffic never allocates again.
     const std::size_t at = chunks_.empty() ? 0 : active_ + 1;
-    chunks_.insert(chunks_.begin() + static_cast<std::ptrdiff_t>(at),
-                   std::move(c));
+    if (at >= chunks_.size() || chunks_[at].capacity < n) {
+      const std::size_t grown =
+          chunks_.empty() ? kMinChunkFloats : 2 * chunks_.back().capacity;
+      const std::size_t cap = std::max({n, kMinChunkFloats, grown});
+      Chunk c;
+      c.storage.resize(cap + kAlignFloats);
+      c.capacity = cap;
+      if (at < chunks_.size())
+        chunks_[at] = std::move(c);
+      else
+        chunks_.push_back(std::move(c));
+      g_chunk_allocs.fetch_add(1, std::memory_order_relaxed);
+      g_reserved_bytes.fetch_add((cap + kAlignFloats) * sizeof(float),
+                                 std::memory_order_relaxed);
+    }
     active_ = at;
     offset_ = 0;
-    g_chunk_allocs.fetch_add(1, std::memory_order_relaxed);
-    g_reserved_bytes.fetch_add((cap + kAlignFloats) * sizeof(float),
-                               std::memory_order_relaxed);
   }
   float* p = base(chunks_[active_]) + offset_;
   offset_ += n;

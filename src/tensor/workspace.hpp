@@ -53,7 +53,9 @@ class Workspace {
   /// arenas are warm — the steady-state zero-allocation property.
   [[nodiscard]] static std::uint64_t total_chunk_allocs() noexcept;
 
-  /// Process-wide sum of reserved backing bytes across all thread arenas.
+  /// Process-wide bytes of backing chunks allocated so far, across every
+  /// thread's arena. Cumulative: a chunk freed by a replacement or a thread
+  /// exit is not subtracted, so this grows exactly when arenas grow.
   [[nodiscard]] static std::size_t total_reserved_bytes() noexcept;
 
  private:

@@ -64,6 +64,28 @@ TEST(WorkspaceTest, WarmedArenaStopsAllocatingChunks) {
   EXPECT_GT(Workspace::total_reserved_bytes(), 0u);
 }
 
+TEST(WorkspaceTest, OverflowChunkIsReusedAcrossPasses) {
+  // Each pass overflows the first chunk (10 000 floats fit, 100 000 more do
+  // not), so the second allocation lands in the chunk after it. Later passes
+  // must find that chunk in place instead of inserting a fresh one.
+  Workspace& ws = Workspace::this_thread();
+  const auto pass = [&ws] {
+    WorkspaceScope scope(ws);
+    (void)scope.alloc(10000);
+    for (int i = 0; i < 4; ++i) {
+      WorkspaceScope inner(ws);
+      (void)inner.alloc(10000);
+      (void)inner.alloc(100000);
+    }
+  };
+  pass();
+  const std::uint64_t allocs = Workspace::total_chunk_allocs();
+  const std::size_t reserved = ws.stats().reserved_bytes;
+  for (int i = 0; i < 5; ++i) pass();
+  EXPECT_EQ(Workspace::total_chunk_allocs(), allocs);
+  EXPECT_EQ(ws.stats().reserved_bytes, reserved);
+}
+
 TEST(WorkspaceTest, StatsTrackHighWater) {
   Workspace& ws = Workspace::this_thread();
   const auto before = ws.stats();

@@ -3,6 +3,8 @@
 // assert the paper's qualitative findings plus global invariants.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "batching/concat_batcher.hpp"
 #include "batching/slotted_batcher.hpp"
 #include "core/tcb.hpp"
@@ -17,6 +19,13 @@ struct SweepParam {
   const char* scheduler;
   double rate;
 };
+
+// Without this, gtest prints the raw struct bytes (scheduler pointer and
+// padding included), so the test names would change with every build.
+void PrintTo(const SweepParam& p, std::ostream* os) {
+  *os << scheme_name(p.scheme) << "_" << p.scheduler << "_rate"
+      << static_cast<int>(p.rate);
+}
 
 class ServingSweepTest : public ::testing::TestWithParam<SweepParam> {};
 

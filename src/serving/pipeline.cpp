@@ -20,6 +20,29 @@
 namespace tcb {
 namespace {
 
+/// Continuous mode: a batch accepts mid-decode splices only when its plan
+/// laid out at least this fraction of the grid's token capacity
+/// (rows * row_capacity). Splicing pins the batch's formation-time geometry;
+/// a batch formed from a near-empty pending set would otherwise stay alive
+/// indefinitely, trickling requests through its few slots while a full-width
+/// re-formation waits. Under-filled batches instead drain and retire. 0.6 won
+/// the bench sweep (bench/continuous_batching.cpp) over 0.25/0.4/0.8 across
+/// arrival rates and length distributions.
+constexpr double kSpliceMinFill = 0.6;
+
+/// Continuous mode: stop splicing into a live batch once this fraction of a
+/// pending set of at least kMisfitMinPending requests no longer fits its
+/// widest slot span, so the worker can re-form with geometry matched to what
+/// is actually waiting (e.g. the long mode of a bimodal workload exceeding
+/// the frozen slot length). The threshold is deliberately high: splicing
+/// drains short requests first, so the pending set is survivor-biased toward
+/// misfits even when the geometry is healthy; 0.75 kept every
+/// catastrophic-mismatch case at run-to-completion parity without
+/// sacrificing the saturation wins (bench sweep; 0.5 fired constantly).
+constexpr double kSpliceMisfitDrain = 0.75;
+/// A lone early misfit must not kill a healthy batch.
+constexpr std::size_t kMisfitMinPending = 8;
+
 /// Collection point for batch executions finishing on pool workers (stage 5
 /// -> stage 6 hand-off). The coordinator takes everything once after the
 /// TaskGroup joined, so push() contention is the only synchronized section.
@@ -47,21 +70,26 @@ class ExecutionLedger {
   double execute_seconds_ TCB_GUARDED_BY(mutex_) = 0.0;
 };
 
-/// Moves everything admitted so far into the working pending set and
-/// restores the canonical (arrival, id) order. drain_by_deadline hands the
-/// set over earliest-deadline-first (the shape DAS's N^D_t scan wants), but
-/// scheduler decisions must be a function of the request *set*, not of the
-/// admission interleaving — the re-sort makes the pipeline's pending order
-/// identical to the pre-pipeline loops' arrival-order append.
-void drain_admission(RequestQueue& queue, std::vector<Request>& pending) {
-  std::vector<Request> drained = queue.drain_by_deadline();
-  if (drained.empty()) return;
-  for (auto& req : drained) pending.push_back(std::move(req));
+/// Restores the canonical (arrival, id) pending order. Scheduler decisions
+/// must be a function of the request *set*, not of the admission or splice
+/// interleaving that produced it.
+void sort_canonical(std::vector<Request>& pending) {
   std::sort(pending.begin(), pending.end(),
             [](const Request& a, const Request& b) {
               if (a.arrival != b.arrival) return a.arrival < b.arrival;
               return a.id < b.id;
             });
+}
+
+/// Moves everything admitted so far into the working pending set.
+/// drain_by_deadline hands the set over earliest-deadline-first (the shape
+/// DAS's N^D_t scan wants); the re-sort makes the pipeline's pending order
+/// identical to the pre-pipeline loops' arrival-order append.
+void drain_admission(RequestQueue& queue, std::vector<Request>& pending) {
+  std::vector<Request> drained = queue.drain_by_deadline();
+  if (drained.empty()) return;
+  for (auto& req : drained) pending.push_back(std::move(req));
+  sort_canonical(pending);
 }
 
 }  // namespace
@@ -94,24 +122,28 @@ std::string ServingReport::summary() const {
   return out;
 }
 
+void PipelineConfig::validate() const {
+  if (scheme == Scheme::kConcatSlotted && fixed_slot_len < 0)
+    throw std::invalid_argument("PipelineConfig: negative fixed_slot_len");
+  if (workers == 0)
+    throw std::invalid_argument("PipelineConfig: need >= 1 worker");
+  if (admission_capacity == 0)
+    throw std::invalid_argument("PipelineConfig: need admission capacity >= 1");
+}
+
 ServingPipeline::ServingPipeline(const Scheduler& scheduler,
                                  const ExecutionBackend& backend,
                                  const Clock& clock, PipelineConfig cfg)
     : scheduler_(scheduler), backend_(backend), clock_(clock), cfg_(cfg) {
-  if (cfg_.scheme == Scheme::kConcatSlotted && cfg_.fixed_slot_len < 0)
-    throw std::invalid_argument("ServingPipeline: negative fixed_slot_len");
-  if (cfg_.workers == 0)
-    throw std::invalid_argument("ServingPipeline: need >= 1 worker");
-  if (cfg_.admission_capacity == 0)
-    throw std::invalid_argument(
-        "ServingPipeline: need admission capacity >= 1");
+  cfg_.validate();
 }
 
 PipelineResult ServingPipeline::run(const std::vector<Request>& trace) const {
-  if (cfg_.continuous) return run_continuous(trace);
   backend_.validate_trace(trace);
 
   const SchedulerConfig& sched_cfg = scheduler_.config();
+  const double grid_tokens =
+      static_cast<double>(sched_cfg.batch_rows * sched_cfg.row_capacity);
   PipelineResult result;
   ServingReport& report = result.report;
   report.scheduler = scheduler_.name();
@@ -122,38 +154,57 @@ PipelineResult ServingPipeline::run(const std::vector<Request>& trace) const {
   double trace_end = 0.0;
   for (const auto& req : trace) trace_end = std::max(trace_end, req.arrival);
 
-  // Stage 1 state: the bounded admission queue. The driver below is
+  // Stage 1 state: the bounded admission queue. The driver is
   // single-threaded (arrivals come from the trace), so a full queue drains
   // inline; a concurrent ingest frontend would block in push() instead.
   RequestQueue admission(cfg_.admission_capacity);
 
-  // Stage 5/6 state. Order matters: the ledger outlives the TaskGroup, so
-  // every in-flight execution joins before the ledger can be destroyed.
+  // Run-to-completion stage 5/6 state. Order matters: the ledger outlives
+  // the TaskGroup, so every in-flight execution joins before the ledger can
+  // be destroyed.
   ExecutionLedger ledger;
   TaskGroup inflight;
-  const bool offload = backend_.offload() && cfg_.workers > 1 &&
+  const bool offload = !cfg_.continuous && backend_.offload() &&
+                       cfg_.workers > 1 &&
                        ThreadPool::global().worker_count() > 0;
 
-  // Each accelerator is represented by the time it next becomes idle; idle
-  // workers pull the scheduler's next selection in turn.
+  /// Continuous mode: one batch mid-decode on a worker — its stepped
+  /// execution, the slot grid tracking which spans are live, and running
+  /// per-batch accounting.
+  struct LiveBatch {
+    std::unique_ptr<SteppedExecution> exec;
+    std::unique_ptr<SlotAllocator> slots;
+    double seconds = 0.0;       ///< accumulated simulated batch time
+    std::size_t requests = 0;   ///< placed at formation + spliced
+    /// Whether the plan filled enough of the grid to be worth keeping alive
+    /// via splices (kSpliceMinFill); under-filled batches drain and retire.
+    bool splice_eligible = false;
+  };
+  std::vector<LiveBatch> live(cfg_.workers);
+
+  // A worker's entry is the simulated time of its next event: the end of its
+  // current batch (run-to-completion) or decode iteration (continuous), the
+  // moment it can form a batch when idle, kIdleForever when a continuous
+  // worker has nothing left to do.
+  constexpr double kIdleForever = std::numeric_limits<double>::infinity();
   std::vector<double> worker_free(cfg_.workers, 0.0);
   std::size_t next_arrival = 0;
   std::vector<Request> pending;  ///< drained, unscheduled; (arrival, id) order
-  /// id -> (scheduled_at, completed_at): stamps responses exactly once in
-  /// stage 6, and double-checks the backend never invents request ids.
-  std::unordered_map<RequestId, std::pair<double, double>> service_times;
-  std::vector<BatchExecution> inline_executions;
+  /// Per admitted request; stamps responses exactly once in stage 6, and
+  /// double-checks the backend never invents request ids.
+  struct ServiceTimes {
+    double arrival = 0.0;
+    double scheduled_at = 0.0;
+    double completed_at = 0.0;
+  };
+  std::unordered_map<RequestId, ServiceTimes> service_times;
+  std::vector<BatchExecution> executions;
   bool stop = false;
 
-  while (!stop) {
-    // The earliest-idle worker makes the next scheduling decision.
-    const auto idle_it =
-        std::min_element(worker_free.begin(), worker_free.end());
-    const std::size_t worker =
-        static_cast<std::size_t>(idle_it - worker_free.begin());
-    const double now = *idle_it;
-
-    // ---- Stage 1: admission -------------------------------------------
+  // Stage 1 (admission), shared by batch formation and splicing: pull every
+  // arrival up to `now` through the bounded queue, restore canonical pending
+  // order, evict what expired or can never fit.
+  const auto admit_until = [&](double now) {
     const double admission_t0 = clock_.now();
     while (next_arrival < trace.size() &&
            trace[next_arrival].arrival <= now) {
@@ -169,27 +220,49 @@ PipelineResult ServingPipeline::run(const std::vector<Request>& trace) const {
     }
     report.admission_queue_depth.add(static_cast<double>(admission.size()));
     drain_admission(admission, pending);
-
-    // Fail requests that expired in the queue or can never fit a row.
     report.failed +=
         evict_unschedulable(now, sched_cfg.row_capacity, pending).size();
     report.admission_seconds += clock_.now() - admission_t0;
+  };
 
-    if (pending.empty()) {
-      if (next_arrival >= trace.size()) break;  // drained
-      *idle_it = trace[next_arrival].arrival;   // idle until the next arrival
-      continue;
-    }
+  // A request is accounted (utility, completed, service start) the moment it
+  // enters a batch — at formation or at splice.
+  const auto account_admitted = [&](const Request& req, double at) {
+    report.total_utility += req.utility();
+    ++report.completed;
+    service_times.emplace(req.id, ServiceTimes{req.arrival, at, 0.0});
+  };
+
+  // A request's finish, in both modes: run-to-completion stamps the batch
+  // end, continuous the iteration that emitted its final token.
+  const auto finish_request = [&](RequestId id, double at) {
+    ServiceTimes& times = service_times.at(id);
+    times.completed_at = at;
+    report.latency.add(at - times.arrival);
+  };
+
+  // Charges `seconds` of simulated busy time to `worker`, whose next event
+  // is then at `until`.
+  const auto occupy = [&](std::size_t worker, double seconds, double until) {
+    report.busy_seconds += seconds;
+    report.worker_busy_seconds[worker] += seconds;
+    worker_free[worker] = until;
+    report.makespan = std::max(report.makespan, until);
+  };
+
+  // Stages 2-3 for an idle worker: select from the pending set, lay the
+  // selection out, and move the placed requests into the batch. Returns an
+  // empty plan when the selection could not be placed at all (e.g. every
+  // candidate is longer than the slot).
+  const auto form_batch = [&](double now) {
     report.queue_depth.add(static_cast<double>(pending.size()));
 
-    // ---- Stage 2: scheduler selection ---------------------------------
     // Timed with the pipeline Clock (this is what Fig. 16 reports); the
     // reading never influences a decision.
     const double select_t0 = clock_.now();
     Selection sel = scheduler_.select(now, pending);
     report.scheduler_seconds += clock_.now() - select_t0;
 
-    // ---- Stage 3: batch formation -------------------------------------
     const double batch_t0 = clock_.now();
     const Index slot_len =
         sel.slot_len > 0 ? sel.slot_len : cfg_.fixed_slot_len;
@@ -198,192 +271,32 @@ PipelineResult ServingPipeline::run(const std::vector<Request>& trace) const {
         Col{sched_cfg.row_capacity}, slot_len);
     report.batching_seconds += clock_.now() - batch_t0;
 
-    if (built.plan.empty()) {
-      // The selection could not be placed at all (e.g. every candidate is
-      // longer than the slot). Avoid a zero-progress spin: jump to the next
-      // arrival if any, otherwise fail what is left.
-      if (next_arrival < trace.size()) {
-        *idle_it = std::max(now, trace[next_arrival].arrival);
-        continue;
-      }
-      report.failed += pending.size();
-      pending.clear();
-      break;
-    }
-
-    // ---- Stage 4: pricing ---------------------------------------------
-    const double batch_time = backend_.batch_seconds(built.plan);
-    if (!(batch_time > 0.0))
-      throw std::logic_error("ServingPipeline: non-positive batch time");
-    const double completion = now + batch_time;
-
-    // Completion accounting happens at dispatch: simulated times are fully
-    // determined here, whether or not execution is deferred to a worker.
-    std::unordered_set<RequestId> served;
-    for (const auto id : built.plan.request_ids()) served.insert(id);
     BatchWork work;
+    if (built.plan.empty()) return work;
+    std::unordered_set<RequestId> placed;
+    for (const auto id : built.plan.request_ids()) placed.insert(id);
     work.plan = std::move(built.plan);
-    work.requests.reserve(served.size());
-    double used_tokens = 0.0;
+    work.requests.reserve(placed.size());
     for (const auto& req : pending) {
-      if (!served.contains(req.id)) continue;
-      report.total_utility += req.utility();
-      report.latency.add(completion - req.arrival);
-      used_tokens += static_cast<double>(req.length);
-      ++report.completed;
-      service_times.emplace(req.id, std::make_pair(now, completion));
+      if (!placed.contains(req.id)) continue;
+      account_admitted(req, now);
       work.requests.push_back(req);
     }
     pending.erase(std::remove_if(pending.begin(), pending.end(),
                                  [&](const Request& r) {
-                                   return served.contains(r.id);
+                                   return placed.contains(r.id);
                                  }),
                   pending.end());
-
-    ++report.batches;
-    report.busy_seconds += batch_time;
-    report.worker_busy_seconds[worker] += batch_time;
-    report.batch_seconds.add(batch_time);
-    report.batch_requests.add(static_cast<double>(served.size()));
-    report.batch_occupancy.add(
-        used_tokens / static_cast<double>(sched_cfg.batch_rows *
-                                          sched_cfg.row_capacity));
-    *idle_it = completion;
-    report.makespan = std::max(report.makespan, completion);
-
-    // ---- Stage 5: execution -------------------------------------------
-    if (offload) {
-      // The worker owns its BatchWork; results meet the coordinator in the
-      // ledger. shared_ptr because ThreadPool::submit needs a copyable fn.
-      // The lambda escapes to a worker thread (submit is TCB_ESCAPES), so
-      // the `this`/&ledger captures are only sound because `inflight` joins
-      // every task before `ledger` — declared above it — can be destroyed.
-      // spawn() spells that structure out; tcb-lint's no-ref-capture-escape
-      // rule checks the declaration order and the join on this exact shape.
-      auto task = std::make_shared<BatchWork>(std::move(work));
-      inflight.spawn(ThreadPool::global(), [this, task, &ledger] {
-        const double exec_t0 = clock_.now();
-        BatchExecution exec = backend_.execute(*task);
-        ledger.push(std::move(exec), clock_.now() - exec_t0);
-      });
-    } else {
-      const double exec_t0 = clock_.now();
-      inline_executions.push_back(backend_.execute(work));
-      report.execute_seconds += clock_.now() - exec_t0;
-    }
-
-    if (cfg_.max_batches != 0 && report.batches >= cfg_.max_batches) {
-      report.failed += pending.size() + (trace.size() - next_arrival);
-      stop = true;
-    }
-  }
-
-  // ---- Stage 6: completion / accounting -------------------------------
-  inflight.join();  // rethrows the first execution failure
-  std::vector<BatchExecution> executions = ledger.take(&report.execute_seconds);
-  for (auto& exec : inline_executions) executions.push_back(std::move(exec));
-  for (auto& exec : executions) {
-    result.peak_kv_bytes = std::max(result.peak_kv_bytes, exec.peak_kv_bytes);
-    result.early_freed_bytes += exec.early_freed_bytes;
-    result.reclaimable_kv_bytes += exec.reclaimable_kv_bytes;
-    for (auto& resp : exec.responses) {
-      const auto& times = service_times.at(resp.id);  // throws on unknown id
-      resp.scheduled_at = times.first;
-      resp.completed_at = times.second;
-      result.responses.push_back(std::move(resp));
-    }
-  }
-  std::sort(result.responses.begin(), result.responses.end(),
-            [](const Response& a, const Response& b) { return a.id < b.id; });
-
-  const double horizon = std::max(report.makespan, trace_end);
-  report.throughput =
-      horizon > 0.0 ? static_cast<double>(report.completed) / horizon : 0.0;
-  return result;
-}
-
-PipelineResult ServingPipeline::run_continuous(
-    const std::vector<Request>& trace) const {
-  backend_.validate_trace(trace);
-
-  const SchedulerConfig& sched_cfg = scheduler_.config();
-  PipelineResult result;
-  ServingReport& report = result.report;
-  report.scheduler = scheduler_.name();
-  report.scheme = scheme_name(cfg_.scheme);
-  report.arrived = trace.size();
-  report.worker_busy_seconds.assign(cfg_.workers, 0.0);
-
-  double trace_end = 0.0;
-  for (const auto& req : trace) trace_end = std::max(trace_end, req.arrival);
-
-  RequestQueue admission(cfg_.admission_capacity);
-
-  /// One batch mid-decode on a worker: its stepped execution, the slot grid
-  /// tracking which spans are live, and running per-batch accounting.
-  struct LiveBatch {
-    std::unique_ptr<SteppedExecution> exec;
-    std::unique_ptr<SlotAllocator> slots;
-    double seconds = 0.0;       ///< accumulated simulated batch time
-    std::size_t requests = 0;   ///< placed at formation + spliced
-    std::size_t steps = 0;      ///< decode iterations run so far
-    /// Whether the plan filled enough of the grid to be worth keeping alive
-    /// via splices (PipelineConfig::splice_min_fill); under-filled batches
-    /// drain and retire instead.
-    bool splice_eligible = false;
-  };
-  std::vector<LiveBatch> live(cfg_.workers);
-
-  // A worker's entry is the simulated time of its next event: the end of its
-  // current decode iteration when a batch is live, the moment it can form a
-  // batch when idle, kIdleForever when it has nothing left to do.
-  constexpr double kIdleForever = std::numeric_limits<double>::infinity();
-  std::vector<double> worker_free(cfg_.workers, 0.0);
-  std::size_t next_arrival = 0;
-  std::vector<Request> pending;  ///< drained, unscheduled; (arrival, id) order
-  std::unordered_map<RequestId, std::pair<double, double>> service_times;
-  std::unordered_map<RequestId, double> arrival_of;  ///< for latency at finish
-  std::vector<BatchExecution> executions;
-  bool stop = false;
-
-  // Stage 1 (admission), shared by batch formation and splicing: pull every
-  // arrival up to `now` through the bounded queue, restore canonical pending
-  // order, evict what expired or can never fit.
-  const auto admit_until = [&](double now) {
-    const double admission_t0 = clock_.now();
-    while (next_arrival < trace.size() &&
-           trace[next_arrival].arrival <= now) {
-      if (!admission.try_push(trace[next_arrival])) {
-        ++report.backpressure_events;
-        drain_admission(admission, pending);
-        TCB_CHECK(admission.try_push(trace[next_arrival]),
-                  "ServingPipeline: admission queue full after drain");
-      }
-      ++next_arrival;
-    }
-    report.admission_queue_depth.add(static_cast<double>(admission.size()));
-    drain_admission(admission, pending);
-    report.failed +=
-        evict_unschedulable(now, sched_cfg.row_capacity, pending).size();
-    report.admission_seconds += clock_.now() - admission_t0;
-  };
-
-  // A request is accounted (utility, completed, service start) the moment it
-  // enters a batch — at formation or at splice; its completion time is
-  // stamped later, at the iteration that emits its final token.
-  const auto account_admitted = [&](const Request& req, double at) {
-    report.total_utility += req.utility();
-    ++report.completed;
-    service_times.emplace(req.id, std::make_pair(at, 0.0));
-    arrival_of.emplace(req.id, req.arrival);
+    return work;
   };
 
   while (true) {
-    const auto idle_it =
+    // The worker with the earliest next event acts; first index wins ties.
+    const auto next_it =
         std::min_element(worker_free.begin(), worker_free.end());
     const std::size_t worker =
-        static_cast<std::size_t>(idle_it - worker_free.begin());
-    const double now = *idle_it;
+        static_cast<std::size_t>(next_it - worker_free.begin());
+    const double now = *next_it;
     if (now == kIdleForever) break;  // every worker is out of work
     LiveBatch& batch = live[worker];
 
@@ -399,12 +312,8 @@ PipelineResult ServingPipeline::run_continuous(
       const double exec_t0 = clock_.now();
       const SteppedExecution::StepResult step = batch.exec->step();
       report.execute_seconds += clock_.now() - exec_t0;
-      batch.steps += 1;
       const double step_end = now + step.seconds;
-      for (const RequestId id : step.finished) {
-        service_times.at(id).second = step_end;
-        report.latency.add(step_end - arrival_of.at(id));
-      }
+      for (const RequestId id : step.finished) finish_request(id, step_end);
       for (const SlotRelease& rel : step.released) {
         batch.slots->release(rel.row, rel.slot);
         ++report.slot_releases;
@@ -413,29 +322,27 @@ PipelineResult ServingPipeline::run_continuous(
       // ---- Mid-batch splicing (DESIGN.md §15): re-run DAS over the vacant
       // spans and admit what fits, paying each span's mini-encode.
       double completion = step_end;
-      const bool within_horizon = cfg_.splice_horizon_steps == 0 ||
-                                  batch.steps < cfg_.splice_horizon_steps;
       const std::vector<SlotSpan> vacant = batch.slots->vacant();
-      if (!stop && batch.splice_eligible && within_horizon && !vacant.empty()) {
+      if (!stop && batch.splice_eligible && !vacant.empty()) {
         admit_until(step_end);
         // Admission post-condition (evict_unschedulable's sanitizer),
-        // re-asserted on the continuous path before any batch-geometry
+        // re-asserted on the splice path before any batch-geometry
         // arithmetic consumes the surviving requests.
         for (const Request& req : pending)
           TCB_DCHECK(req.length >= 1 &&
                          req.length <= sched_cfg.row_capacity &&
                          req.deadline >= step_end,
-                     "run_continuous: unvalidated request after admission");
+                     "ServingPipeline: unvalidated request after admission");
         // Geometry-mismatch drain: when most of what is waiting cannot fit
         // this batch's widest span, stop splicing and let it retire so the
         // next formation re-adapts the slot geometry to the arrivals.
-        if (cfg_.splice_misfit_drain > 0.0 && pending.size() >= 8) {
+        if (pending.size() >= kMisfitMinPending) {
           const Index widest = batch.slots->max_span_width();
           std::size_t misfits = 0;
           for (const auto& req : pending)
             if (req.length > widest) ++misfits;
           if (static_cast<double>(misfits) >=
-              cfg_.splice_misfit_drain * static_cast<double>(pending.size()))
+              kSpliceMisfitDrain * static_cast<double>(pending.size()))
             batch.splice_eligible = false;
         }
         if (batch.splice_eligible && !pending.empty()) {
@@ -446,13 +353,8 @@ PipelineResult ServingPipeline::run_continuous(
           std::vector<std::vector<Request>> picks =
               scheduler_.select_for_slots(step_end, widths, pending);
           report.scheduler_seconds += clock_.now() - select_t0;
-          // select_for_slots leaves survivor order unspecified; restore the
-          // canonical (arrival, id) order the next decision depends on.
-          std::sort(pending.begin(), pending.end(),
-                    [](const Request& a, const Request& b) {
-                      if (a.arrival != b.arrival) return a.arrival < b.arrival;
-                      return a.id < b.id;
-                    });
+          // select_for_slots leaves survivor order unspecified.
+          sort_canonical(pending);
           for (std::size_t s = 0; s < picks.size(); ++s) {
             if (picks[s].empty()) continue;
             const SlotSpan& span = vacant[s];
@@ -474,98 +376,97 @@ PipelineResult ServingPipeline::run_continuous(
 
       const double delta = completion - now;
       batch.seconds += delta;
-      report.busy_seconds += delta;
-      report.worker_busy_seconds[worker] += delta;
-      *idle_it = completion;
-      report.makespan = std::max(report.makespan, completion);
+      occupy(worker, delta, completion);
       continue;
     }
 
-    // ---- Idle worker: form a new batch (stages 1-3, as run-to-completion).
-    if (stop) {
-      *idle_it = kIdleForever;
-      continue;
-    }
-    admit_until(now);
-    if (pending.empty()) {
-      *idle_it = next_arrival < trace.size()
-                     ? std::max(now, trace[next_arrival].arrival)
-                     : kIdleForever;
-      continue;
-    }
-    report.queue_depth.add(static_cast<double>(pending.size()));
-
-    const double select_t0 = clock_.now();
-    Selection sel = scheduler_.select(now, pending);
-    report.scheduler_seconds += clock_.now() - select_t0;
-
-    const double batch_t0 = clock_.now();
-    const Index slot_len =
-        sel.slot_len > 0 ? sel.slot_len : cfg_.fixed_slot_len;
-    BatchBuildResult built = build_with_scheme(
-        cfg_.scheme, std::move(sel.ordered), Row{sched_cfg.batch_rows},
-        Col{sched_cfg.row_capacity}, slot_len);
-    report.batching_seconds += clock_.now() - batch_t0;
-
-    if (built.plan.empty()) {
-      if (next_arrival < trace.size()) {
-        *idle_it = std::max(now, trace[next_arrival].arrival);
+    // ---- Idle worker: stages 1-3 form the next batch --------------------
+    BatchWork work;
+    if (!stop) {
+      admit_until(now);
+      if (!pending.empty()) work = form_batch(now);
+      if (work.plan.empty() && next_arrival < trace.size()) {
+        // Nothing waiting, or nothing placeable: avoid a zero-progress spin
+        // by idling until the next arrival.
+        *next_it = std::max(now, trace[next_arrival].arrival);
         continue;
       }
+    }
+    if (work.plan.empty()) {
+      // Out of work for good: fail whatever could never be placed.
+      // Run-to-completion has nothing in flight, so the run ends here; a
+      // continuous worker idles so live batches elsewhere can drain.
       report.failed += pending.size();
       pending.clear();
-      *idle_it = kIdleForever;
+      if (!cfg_.continuous) break;
+      *next_it = kIdleForever;
       continue;
     }
 
-    std::unordered_set<RequestId> served;
-    for (const auto id : built.plan.request_ids()) served.insert(id);
-    BatchWork work;
-    work.plan = std::move(built.plan);
-    work.requests.reserve(served.size());
     double used_tokens = 0.0;
-    for (const auto& req : pending) {
-      if (!served.contains(req.id)) continue;
-      account_admitted(req, now);
+    for (const auto& req : work.requests)
       used_tokens += static_cast<double>(req.length);
-      work.requests.push_back(req);
-    }
-    pending.erase(std::remove_if(pending.begin(), pending.end(),
-                                 [&](const Request& r) {
-                                   return served.contains(r.id);
-                                 }),
-                  pending.end());
-
-    const double exec_t0 = clock_.now();
-    std::unique_ptr<SteppedExecution> exec = backend_.begin_stepped(work);
-    if (exec == nullptr)
-      throw std::logic_error(
-          "ServingPipeline: backend cannot step batches (continuous mode "
-          "needs begin_stepped support)");
-    report.execute_seconds += clock_.now() - exec_t0;
-    const double prologue = exec->prologue_seconds();
-    if (!(prologue > 0.0))
-      throw std::logic_error("ServingPipeline: non-positive batch prologue");
-
-    double plan_capacity = 0.0;
-    for (const auto& row : work.plan.rows)
-      plan_capacity += static_cast<double>(row.width);
-    const double grid_capacity = static_cast<double>(
-        sched_cfg.batch_rows * sched_cfg.row_capacity);
-    batch.slots = std::make_unique<SlotAllocator>(work.plan);
-    batch.exec = std::move(exec);
-    batch.seconds = prologue;
-    batch.requests = served.size();
-    batch.splice_eligible =
-        plan_capacity >= cfg_.splice_min_fill * grid_capacity;
     ++report.batches;
-    report.busy_seconds += prologue;
-    report.worker_busy_seconds[worker] += prologue;
-    report.batch_occupancy.add(
-        used_tokens / static_cast<double>(sched_cfg.batch_rows *
-                                          sched_cfg.row_capacity));
-    *idle_it = now + prologue;
-    report.makespan = std::max(report.makespan, now + prologue);
+    report.batch_occupancy.add(used_tokens / grid_tokens);
+
+    // ---- The mode decides what the formed batch becomes -----------------
+    if (cfg_.continuous) {
+      // Stepped execution: one decoder iteration per event, splices between.
+      const double exec_t0 = clock_.now();
+      std::unique_ptr<SteppedExecution> exec = backend_.begin_stepped(work);
+      if (exec == nullptr)
+        throw std::logic_error(
+            "ServingPipeline: backend cannot step batches (continuous mode "
+            "needs begin_stepped support)");
+      report.execute_seconds += clock_.now() - exec_t0;
+      const double prologue = exec->prologue_seconds();
+      if (!(prologue > 0.0))
+        throw std::logic_error("ServingPipeline: non-positive batch prologue");
+
+      double plan_capacity = 0.0;
+      for (const auto& row : work.plan.rows)
+        plan_capacity += static_cast<double>(row.width);
+      batch.slots = std::make_unique<SlotAllocator>(work.plan);
+      batch.exec = std::move(exec);
+      batch.seconds = prologue;
+      batch.requests = work.requests.size();
+      batch.splice_eligible = plan_capacity >= kSpliceMinFill * grid_tokens;
+      occupy(worker, prologue, now + prologue);
+    } else {
+      // ---- Stage 4: pricing. Simulated times are fully determined here,
+      // whether or not execution is deferred to a worker, so every request
+      // is stamped at the batch end now.
+      const double batch_time = backend_.batch_seconds(work.plan);
+      if (!(batch_time > 0.0))
+        throw std::logic_error("ServingPipeline: non-positive batch time");
+      const double completion = now + batch_time;
+      for (const auto& req : work.requests) finish_request(req.id, completion);
+      report.batch_seconds.add(batch_time);
+      report.batch_requests.add(static_cast<double>(work.requests.size()));
+      occupy(worker, batch_time, completion);
+
+      // ---- Stage 5: execution -------------------------------------------
+      if (offload) {
+        // The worker owns its BatchWork; results meet the coordinator in the
+        // ledger. shared_ptr because ThreadPool::submit needs a copyable fn.
+        // The lambda escapes to a worker thread (submit is TCB_ESCAPES), so
+        // the `this`/&ledger captures are only sound because `inflight`
+        // joins every task before `ledger` — declared above it — can be
+        // destroyed. spawn() spells that structure out; tcb-lint's
+        // no-ref-capture-escape rule checks the declaration order and the
+        // join on this exact shape.
+        auto task = std::make_shared<BatchWork>(std::move(work));
+        inflight.spawn(ThreadPool::global(), [this, task, &ledger] {
+          const double exec_t0 = clock_.now();
+          BatchExecution exec = backend_.execute(*task);
+          ledger.push(std::move(exec), clock_.now() - exec_t0);
+        });
+      } else {
+        const double exec_t0 = clock_.now();
+        executions.push_back(backend_.execute(work));
+        report.execute_seconds += clock_.now() - exec_t0;
+      }
+    }
 
     if (cfg_.max_batches != 0 && report.batches >= cfg_.max_batches) {
       // Safety valve: stop admitting; live batches still drain to done.
@@ -576,15 +477,18 @@ PipelineResult ServingPipeline::run_continuous(
     }
   }
 
-  // ---- Completion / accounting ----------------------------------------
+  // ---- Stage 6: completion / accounting -------------------------------
+  inflight.join();  // rethrows the first execution failure
+  for (auto& exec : ledger.take(&report.execute_seconds))
+    executions.push_back(std::move(exec));
   for (auto& exec : executions) {
     result.peak_kv_bytes = std::max(result.peak_kv_bytes, exec.peak_kv_bytes);
     result.early_freed_bytes += exec.early_freed_bytes;
     result.reclaimable_kv_bytes += exec.reclaimable_kv_bytes;
     for (auto& resp : exec.responses) {
       const auto& times = service_times.at(resp.id);  // throws on unknown id
-      resp.scheduled_at = times.first;
-      resp.completed_at = times.second;
+      resp.scheduled_at = times.scheduled_at;
+      resp.completed_at = times.completed_at;
       result.responses.push_back(std::move(resp));
     }
   }

@@ -1,26 +1,32 @@
-// ServingPipeline — the one staged serving loop behind every serving path
-// (paper Fig. 3; DESIGN.md §10). The stages:
+// ServingPipeline — the one serving driver behind every serving path
+// (paper Fig. 3; DESIGN.md §10). Each idle worker walks the same stages to
+// form its next batch:
 //
 //   1. admission  — arrivals enter a bounded RequestQueue (backpressure at
 //                   the edge) and are drained into the pending set via
-//                   drain_by_deadline;
+//                   drain_by_deadline; expired or oversized requests fail;
 //   2. selection  — the Scheduler picks the next utility-dominant set
 //                   (DAS / Slotted-DAS / baselines);
 //   3. formation  — the Scheme's batcher lays the selection out
-//                   (batching/factory.hpp);
-//   4. pricing    — the ExecutionBackend prices the plan, advancing
-//                   simulated time deterministically;
-//   5. execution  — the backend produces the outputs: inline for the
-//                   analytical backend, concurrently on the thread pool for
-//                   the engine backend in multi-worker mode;
-//   6. completion — utilities, latencies, per-worker busy time and the
-//                   responses are accounted exactly once.
+//                   (batching/factory.hpp) and the placed requests are
+//                   accounted as admitted.
+//
+// The mode (PipelineConfig::continuous) decides only what the formed batch
+// becomes:
+//
+//   * run-to-completion — the backend prices the batch once, every request
+//     is stamped at the batch end, and the batch executes inline or, for
+//     an offloading backend with several workers, on the thread pool;
+//   * continuous — the batch runs through SteppedExecution one decoder
+//     iteration per event; finished requests are stamped at their
+//     iteration and waiting requests are spliced into vacated slots
+//     (DESIGN.md §15).
+//
+// Completion then stamps every response and accounts it exactly once.
 //
 // TcbSystem::serve / serve_classify / simulate and ServingSimulator are all
 // thin configurations of this class: pick a backend (engine vs analytical),
-// a Clock (virtual vs wall, see clock.hpp) and a PipelineConfig. The four
-// hand-rolled copies of this loop that used to live in core/tcb.cpp and
-// serving/simulator.cpp are gone.
+// a Clock (virtual vs wall, see clock.hpp) and a PipelineConfig.
 //
 // Determinism: simulated time comes only from backend prices, never the
 // Clock (which measures overhead). The pending set is kept in canonical
@@ -59,7 +65,9 @@ struct ServingReport {
   // zero under VirtualClock).
   double admission_seconds = 0.0;   ///< queue admit + drain + evict
   double batching_seconds = 0.0;    ///< scheme layout (stage 3)
-  double execute_seconds = 0.0;     ///< backend execute(), summed over batches
+  /// Backend execution time: execute() in run-to-completion mode;
+  /// begin_stepped(), step() and splice() in continuous mode.
+  double execute_seconds = 0.0;
 
   /// Simulated busy time per worker slot; size = PipelineConfig::workers.
   std::vector<double> worker_busy_seconds;
@@ -91,11 +99,14 @@ struct PipelineConfig {
   Index fixed_slot_len = 0;
 
   /// Number of accelerators sharing the pending queue; each idle worker
-  /// pulls the next scheduler selection. With an offloading backend and
-  /// workers > 1, execution runs concurrently on the thread pool.
+  /// pulls the next scheduler selection. The paper evaluates a single V100;
+  /// >1 models the natural scale-out deployment. With an offloading backend
+  /// and workers > 1, run-to-completion execution runs concurrently on the
+  /// thread pool.
   std::size_t workers = 1;
 
-  /// Safety valve: stop after this many batches (0 = unlimited).
+  /// Safety valve: stop after this many batches (0 = unlimited). A correctly
+  /// configured run never hits it.
   std::size_t max_batches = 0;
 
   /// Bound of the admission queue (backpressure threshold, >= 1).
@@ -107,43 +118,12 @@ struct PipelineConfig {
   /// the vacated spans between iterations (DESIGN.md §15). Requires a
   /// backend whose begin_stepped() returns non-null. The coordinator steps
   /// every live batch inline — multi-worker continuous runs are simulated
-  /// concurrency, deterministic by construction.
+  /// concurrency, deterministic by construction. The two splice gates (fill
+  /// at formation, geometry-mismatch drain) are constants in pipeline.cpp.
   bool continuous = false;
 
-  /// Continuous mode: a batch accepts mid-decode splices only when its plan
-  /// laid out at least this fraction of the grid's token capacity
-  /// (rows * row_capacity). Splicing pins the batch's formation-time
-  /// geometry; a batch formed from a near-empty pending set would otherwise
-  /// stay alive indefinitely, trickling requests through its few slots while
-  /// a full-width re-formation waits. Under-filled batches instead drain and
-  /// retire so the worker can form a fresh grid. 0.6 won the bench sweep
-  /// (bench/continuous_batching.cpp) over 0.25/0.4/0.8 across arrival rates
-  /// and length distributions.
-  double splice_min_fill = 0.6;
-
-  /// Continuous mode: stop splicing into a live batch after this many decode
-  /// iterations (0 = never stop, the default). A time-boxed splice window
-  /// forces a drain tail of sparse, expensive iterations before the batch
-  /// can retire, which measures strictly worse than indefinite splicing
-  /// across the bench sweep — the knob exists for experiments, not as a
-  /// recommended setting (prefer splice_misfit_drain, which only drains when
-  /// the geometry stopped matching the arrivals).
-  std::size_t splice_horizon_steps = 0;
-
-  /// Continuous mode: drain a live batch once this fraction of the pending
-  /// set no longer fits its widest slot span (0 disables). A spliced batch
-  /// keeps its formation-time geometry forever; when the arrival mix drifts
-  /// (e.g. a bimodal workload whose long mode exceeds the frozen slot
-  /// length), splicing would serve only the short tail while the misfits
-  /// expire — draining lets the worker re-form with geometry matched to what
-  /// is actually waiting. Evaluated only against a meaningfully sized
-  /// pending set (>= 8) so a lone early misfit cannot kill a healthy batch.
-  /// The threshold is deliberately high: splicing drains short requests
-  /// first, so the pending set is survivor-biased toward misfits even when
-  /// the geometry is healthy; 0.75 kept every catastrophic-mismatch case
-  /// (bimodal long mode vs a short frozen slot length) at run-to-completion
-  /// parity without sacrificing the saturation wins (bench sweep).
-  double splice_misfit_drain = 0.75;
+  /// Throws std::invalid_argument on a configuration no run can honour.
+  void validate() const;
 };
 
 /// Everything one pipeline run produced. Analytical runs leave `responses`
@@ -173,14 +153,6 @@ class ServingPipeline {
   [[nodiscard]] PipelineResult run(const std::vector<Request>& trace) const;
 
  private:
-  /// The continuous-mode driver (PipelineConfig::continuous); run()
-  /// dispatches here. Event-driven over per-worker live batches: the
-  /// earliest pending event (a step completing, or an idle worker forming a
-  /// new batch) is processed next, with deterministic first-index
-  /// tie-breaking.
-  [[nodiscard]] PipelineResult run_continuous(
-      const std::vector<Request>& trace) const;
-
   const Scheduler& scheduler_;
   const ExecutionBackend& backend_;
   const Clock& clock_;

@@ -1,12 +1,15 @@
 // Unit tests for the staged ServingPipeline: configuration validation, the
 // Clock contract (virtual => zero stage timings, wall => accumulating ones),
-// per-worker busy accounting, the bounded-admission satellite counters, and
-// the max_batches safety valve at the pipeline level.
+// per-worker busy accounting, the bounded-admission satellite counters, the
+// max_batches safety valve at the pipeline level, and the continuous-mode
+// guard against backends that cannot step a batch.
 #include "serving/pipeline.hpp"
 
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "sched/factory.hpp"
 #include "workload/trace.hpp"
@@ -159,6 +162,51 @@ TEST_F(PipelineTest, BackendOffloadFlags) {
                                   HardwareProfile::v100_like());
   const EngineBackend engine(model, clock, InferenceOptions{});
   EXPECT_TRUE(engine.offload());
+}
+
+TEST_F(PipelineTest, ContinuousModeRejectsBackendThatCannotStep) {
+  // Encoder-only classification has no decode loop to step, so the engine
+  // backend's begin_stepped() returns nullptr; continuous mode must refuse
+  // the first formed batch rather than serve it some other way.
+  const ModelConfig model_cfg = ModelConfig::test_scale();
+  const auto model = std::make_shared<const Seq2SeqModel>(model_cfg);
+  const AnalyticalCostModel clock_model(model_cfg,
+                                        HardwareProfile::v100_like());
+  const ClassificationHead head(model_cfg.d_model, /*num_classes=*/4,
+                                /*seed=*/3);
+  const EngineBackend engine(model, clock_model, InferenceOptions{}, &head);
+
+  SchedulerConfig sc;
+  sc.batch_rows = 2;
+  sc.row_capacity = 16;
+  const auto das = make_scheduler("das", sc);
+  WorkloadConfig w;
+  w.rate = 20;
+  w.duration = 0.5;
+  w.min_len = 2;
+  w.max_len = 8;
+  w.mean_len = 4;
+  w.len_variance = 2;
+  w.deadline_slack_min = 1.0;
+  w.deadline_slack_max = 2.0;
+  w.with_tokens = true;
+  w.vocab_size = model_cfg.vocab_size;
+  const auto requests = generate_trace(w);
+  ASSERT_FALSE(requests.empty());
+
+  const VirtualClock clock;
+  PipelineConfig cfg;
+  cfg.continuous = true;
+  const ServingPipeline pipeline(*das, engine, clock, cfg);
+  // invalid_argument and CheckError are logic_errors too; pin the message
+  // so a trace or config rejection cannot pass for the guard.
+  try {
+    (void)pipeline.run(requests);
+    FAIL() << "continuous run on a non-stepping backend did not throw";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("begin_stepped"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

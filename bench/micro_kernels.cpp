@@ -217,40 +217,8 @@ BENCHMARK(BM_AttentionSlotted)
     ->Args({1024, 2})
     ->Args({2048, 2});
 
-/// Head-to-head on identical single-segment payloads: the flash kernel
-/// (online softmax, vectorized exp, packed K^T tiles) vs the previous
-/// production kernel (fused masking, two-pass softmax, scalar exp). The
-/// flash/fused time ratio at a given k_len is the tentpole speedup this
-/// revision claims; the CI gate and README table read it from here.
-void BM_AttentionFlashVsFused(benchmark::State& state) {
-  const Index k_len = state.range(0);
-  const bool flash = state.range(1) == 1;
-  const ModelConfig cfg = attention_cfg();
-  Rng rng(4);
-  const MultiHeadAttention mha(cfg, rng);
-  const Tensor x = Tensor::random_uniform(Shape{k_len, cfg.d_model}, rng, 1.0f);
-  const BatchPlan plan = attention_plan(k_len, 1, AttentionMode::kPureConcat);
-  for (auto _ : state) {
-    const Tensor y =
-        flash ? mha.encoder_forward(x, plan, Col{k_len},
-                                    AttentionMode::kPureConcat)
-              : mha.encoder_forward_fused(x, plan, Col{k_len},
-                                          AttentionMode::kPureConcat);
-    benchmark::DoNotOptimize(y.raw());
-  }
-  set_attention_counters(state, k_len, k_len, cfg.d_model);
-}
-BENCHMARK(BM_AttentionFlashVsFused)
-    ->ArgNames({"k_len", "flash"})
-    ->Args({512, 0})
-    ->Args({512, 1})
-    ->Args({1024, 0})
-    ->Args({1024, 1})
-    ->Args({2048, 0})
-    ->Args({2048, 1});
-
 /// Same payload as BM_AttentionPure but through the pre-optimization
-/// full-matrix scalar path; the Pure/PureRef ratio is the fused-kernel
+/// full-matrix scalar path; the Pure/PureRef ratio is the flash-kernel
 /// speedup on identical work.
 void BM_AttentionPureRef(benchmark::State& state) {
   const Index width = 400;

@@ -84,11 +84,9 @@ ServeResult TcbSystem::serve(const std::vector<Request>& trace) const {
 
 ServeResult TcbSystem::serve_classify(const std::vector<Request>& trace,
                                       const ClassificationHead& head) const {
-  InferenceOptions opts;
-  opts.mode = cfg_.scheme == Scheme::kConcatSlotted
-                  ? AttentionMode::kSlotted
-                  : AttentionMode::kPureConcat;
-  const EngineBackend backend(model_, *engine_clock_, opts, &head);
+  // Encoder-only serving never decodes; the decode fields go unused.
+  const EngineBackend backend(model_, *engine_clock_, engine_options(cfg_),
+                              &head);
   return run_pipeline(backend, trace);
 }
 

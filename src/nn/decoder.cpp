@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "batching/packed_batch.hpp"
@@ -87,13 +86,32 @@ Index sample_top_k(const float* logits, Index vocab, Index k,
 
 DecodeSession::DecodeSession(const Seq2SeqModel& model, EncoderMemory memory,
                              DecodeOptions opts)
-    : model_(model), memory_(std::move(memory)), opts_(opts) {
+    : model_(model),
+      memory_(std::move(memory)),
+      opts_(opts),
+      slotted_(opts_.mode == AttentionMode::kSlotted &&
+               memory_.plan.slot_len > 0),
+      groups_(memory_.plan, slotted_) {
   const ModelConfig& cfg = model_.config();
-  slotted_ =
-      opts_.mode == AttentionMode::kSlotted && memory_.plan.slot_len > 0;
   max_steps_ = std::min<Index>(opts_.max_steps, cfg.max_len);
 
-  // --- Build tracks and groups --------------------------------------------
+  if (memory_.plan.empty()) return;
+
+  // Source mask geometry, shared with the encoder via the plan's cache.
+  // Touched here, before any fan-out, per the cache's threading contract;
+  // outside debug builds the warm-up is the only use, hence maybe_unused.
+  [[maybe_unused]] const SegmentCache& src_cache =
+      memory_.plan.segment_cache(memory_.width);
+
+  // --- Layer state: precomputed cross K/V ----------------------------------
+  const auto& layers = model_.decoder_layers();
+  states_.resize(layers.size());
+  for (std::size_t l = 0; l < layers.size(); ++l) {
+    states_[l].cross_k = layers[l].cross_attn().wk().forward(memory_.states);
+    states_[l].cross_v = layers[l].cross_attn().wv().forward(memory_.states);
+  }
+
+  // --- One track per request, in the order groups_ numbers them -----------
   for (std::size_t r = 0; r < memory_.plan.rows.size(); ++r) {
     const auto& row = memory_.plan.rows[r];
     for (std::size_t si = 0; si < row.segments.size(); ++si) {
@@ -105,63 +123,8 @@ DecodeSession::DecodeSession(const Seq2SeqModel& model, EncoderMemory memory,
       t.seg_index = static_cast<Index>(si);
       t.src_offset = seg.begin_col();
       t.src_len = seg.length;
-      tracks_.push_back(std::move(t));
+      append_track(std::move(t));
     }
-  }
-  if (tracks_.empty()) return;
-
-  {
-    std::unordered_map<Index, std::size_t> key_to_group;
-    group_of_.resize(tracks_.size());
-    for (std::size_t i = 0; i < tracks_.size(); ++i) {
-      const Index key = tracks_[i].row.value() * (memory_.width.value() + 1) +
-                        (slotted_ ? tracks_[i].slot.value() : 0);
-      auto [it, inserted] = key_to_group.try_emplace(key, groups_.size());
-      if (inserted) {
-        Group g;
-        g.row = tracks_[i].row;
-        g.slot = slotted_ ? tracks_[i].slot : Slot{0};
-        const Index row_width =
-            memory_.plan.rows[static_cast<std::size_t>(g.row.value())].width;
-        if (slotted_) {
-          const Index z = memory_.plan.slot_len;
-          g.begin = Col{g.slot.value() * z};
-          g.width = std::min(z, row_width - g.begin.value());
-        } else {
-          g.begin = Col{0};
-          g.width = row_width;
-        }
-        groups_.push_back(std::move(g));
-      }
-      groups_[it->second].members.push_back(i);
-      group_of_[i] = it->second;
-    }
-  }
-
-  // Source mask geometry, shared with the encoder via the plan's cache.
-  // Touched here, before any fan-out, per the cache's threading contract;
-  // outside debug builds the warm-up is the only use, hence maybe_unused.
-  [[maybe_unused]] const SegmentCache& src_cache =
-      memory_.plan.segment_cache(memory_.width);
-
-  // --- Layer state: caches + precomputed cross K/V -------------------------
-  const auto& layers = model_.decoder_layers();
-  states_.resize(layers.size());
-  for (std::size_t l = 0; l < layers.size(); ++l) {
-    states_[l].k_cache.resize(tracks_.size());
-    states_[l].v_cache.resize(tracks_.size());
-    states_[l].cross_k = layers[l].cross_attn().wk().forward(memory_.states);
-    states_[l].cross_v = layers[l].cross_attn().wv().forward(memory_.states);
-  }
-
-  // Per-request sampling streams: forked by request id so a request draws
-  // the same randomness no matter which batch it rides in.
-  if (opts_.strategy == DecodeStrategy::kTopK) {
-    const Rng base(opts_.sample_seed);
-    track_rng_.reserve(tracks_.size());
-    for (const auto& track : tracks_)
-      track_rng_.push_back(
-          base.fork(static_cast<std::uint64_t>(track.request_id)));
   }
 }
 
@@ -245,14 +208,15 @@ DecodeStepOutcome DecodeSession::step() {
             const Index ai = static_cast<Index>(task / heads);
             const Index h = static_cast<Index>(task % heads);
             const std::size_t a = active[static_cast<std::size_t>(ai)];
-            const Group& group = groups_[group_of_[a]];
+            const std::vector<std::size_t>& members =
+                groups_.members(groups_.group_of(a));
             const std::size_t head_off = static_cast<std::size_t>(h) * dh;
             const float* qv = q.row(ai) + head_off;
 
             // Score scratch from this worker's arena (rewound per task;
             // steady-state decode steps allocate nothing).
             std::size_t total = 0;
-            for (const auto m : group.members)
+            for (const auto m : members)
               total += st.k_cache[m].size() / static_cast<std::size_t>(d);
             WorkspaceScope scope;
             float* scores = scope.alloc(total);
@@ -260,7 +224,7 @@ DecodeStepOutcome DecodeSession::step() {
             // cross-request entries are computed, then masked (paper
             // Eq. 5-6 applied step-wise).
             std::size_t idx = 0;
-            for (const auto m : group.members) {
+            for (const auto m : members) {
               const auto& kc = st.k_cache[m];
               const std::size_t steps_m =
                   kc.size() / static_cast<std::size_t>(d);
@@ -295,7 +259,7 @@ DecodeStepOutcome DecodeSession::step() {
             // without a parallel pointer array (the arena only holds
             // floats, and the walk order is identical by construction).
             idx = 0;
-            for (const auto m : group.members) {
+            for (const auto m : members) {
               const auto& vc = st.v_cache[m];
               const std::size_t steps_m =
                   vc.size() / static_cast<std::size_t>(d);
@@ -398,6 +362,7 @@ DecodeStepOutcome DecodeSession::step() {
                        opts_.temperature, track_rng_[a]);
     }
   }
+  std::vector<std::size_t> retired;
   for (Index ai = 0; ai < a_count; ++ai) {
     const std::size_t a = active[static_cast<std::size_t>(ai)];
     const Index token = next[static_cast<std::size_t>(ai)];
@@ -408,6 +373,7 @@ DecodeStepOutcome DecodeSession::step() {
     if (token == kEosToken ||
         static_cast<Index>(tracks_[a].emitted.size()) >= cap) {
       tracks_[a].finished = true;
+      retired.push_back(a);
       outcome.finished.push_back(tracks_[a].request_id);
       // The track's caches stop growing now: these bytes are what an ideal
       // per-request cleaner could reclaim from here on, whether or not the
@@ -420,46 +386,34 @@ DecodeStepOutcome DecodeSession::step() {
   }
 
   // ---- Group completion: release events + early cleaning (§4.2.2) --------
-  for (auto& group : groups_) {
-    if (group.completed) continue;
-    const bool group_done =
-        std::all_of(group.members.begin(), group.members.end(),
-                    [&](std::size_t m) { return tracks_[m].finished; });
-    if (!group_done) continue;
-    group.completed = true;
-    SlotRelease rel;
-    rel.row = group.row;
-    rel.slot = group.slot;
-    rel.begin = group.begin;
-    rel.width = group.width;
-    for (const auto m : group.members)
-      rel.finished.push_back(tracks_[m].request_id);
-    outcome.released.push_back(std::move(rel));
-    if (slotted_ && opts_.early_memory_cleaning) {
-      for (const auto m : group.members) {
-        for (auto& st : states_) {
-          const std::size_t bytes =
-              (st.k_cache[m].size() + st.v_cache[m].size()) * sizeof(float);
-          cur_kv_bytes_ -= bytes;
-          result_.early_freed_bytes += bytes;
-          st.k_cache[m] = {};
-          st.v_cache[m] = {};
-        }
-      }
-      group.released = true;
-    }
+  for (const std::size_t g : groups_.retire(retired)) {
+    outcome.released.push_back(groups_.release(g));
+    if (slotted_ && opts_.early_memory_cleaning) free_kv(g);
   }
   return outcome;
 }
 
-void DecodeSession::append_track(DecodeTrack track, std::size_t group_index) {
+void DecodeSession::free_kv(std::size_t group) {
+  for (const auto m : groups_.members(group)) {
+    for (auto& st : states_) {
+      const std::size_t bytes =
+          (st.k_cache[m].size() + st.v_cache[m].size()) * sizeof(float);
+      cur_kv_bytes_ -= bytes;
+      result_.early_freed_bytes += bytes;
+      st.k_cache[m] = {};
+      st.v_cache[m] = {};
+    }
+  }
+}
+
+void DecodeSession::append_track(DecodeTrack track) {
   tracks_.push_back(std::move(track));
-  group_of_.push_back(group_index);
-  groups_[group_index].members.push_back(tracks_.size() - 1);
   for (auto& st : states_) {
     st.k_cache.emplace_back();
     st.v_cache.emplace_back();
   }
+  // Per-request sampling streams: forked by request id so a request draws
+  // the same randomness no matter which batch it rides in.
   if (opts_.strategy == DecodeStrategy::kTopK) {
     const Rng base(opts_.sample_seed);
     track_rng_.push_back(
@@ -469,7 +423,6 @@ void DecodeSession::append_track(DecodeTrack track, std::size_t group_index) {
 
 void DecodeSession::splice(Row row, Slot slot, Col begin, Index width,
                            const std::vector<Request>& reqs) {
-  TCB_CHECK(!reqs.empty(), "splice: empty request list");
   TCB_CHECK(row >= Row{0} &&
                 static_cast<std::size_t>(row.value()) < memory_.plan.rows.size(),
             "splice: row outside the plan");
@@ -485,29 +438,17 @@ void DecodeSession::splice(Row row, Slot slot, Col begin, Index width,
               "splice: request must carry its tokens");
     total_len += req.length;
   }
-  TCB_CHECK(total_len <= width, "splice: requests overflow the slot span");
 
-  // The span must be vacant: any group occupying this (row, slot) has to
-  // have completed. Its caches — still resident when early cleaning is off
-  // or the scheme is unslotted — are dead the moment the slot is reused, so
-  // reclaim them now (they count as freed-before-batch-completion).
-  for (auto& group : groups_) {
-    if (group.row != row) continue;
-    if (slotted_ && group.slot != slot) continue;
-    TCB_CHECK(group.completed, "splice: slot still has live decode tracks");
-    if (group.released) continue;
-    for (const auto m : group.members) {
-      for (auto& st : states_) {
-        const std::size_t bytes =
-            (st.k_cache[m].size() + st.v_cache[m].size()) * sizeof(float);
-        cur_kv_bytes_ -= bytes;
-        result_.early_freed_bytes += bytes;
-        st.k_cache[m] = {};
-        st.v_cache[m] = {};
-      }
-    }
-    group.released = true;
-  }
+  // The table refuses the splice while a group on this (row, slot) is live.
+  // The span's earlier groups' caches — still resident when early cleaning
+  // is off or the scheme is unslotted — are dead the moment the slot is
+  // reused, so reclaim them now (they count as freed-before-batch-completion).
+  const std::size_t group =
+      groups_.splice(SlotSpan{row, slot, begin, width}, reqs);
+  const SlotSpan& span = groups_.span(group);
+  for (std::size_t g = 0; g < group; ++g)
+    if (groups_.span(g).row == span.row && groups_.span(g).slot == span.slot)
+      free_kv(g);
 
   // Mini-encode the spliced requests alone, as one concatenated row. With
   // separate PE + segment mask each request's encoded states are bitwise
@@ -566,28 +507,20 @@ void DecodeSession::splice(Row row, Slot slot, Col begin, Index width,
     }
   }
 
-  // Admit one fresh track per request; together they form a new group over
+  // Admit one fresh track per request; together they are the new group over
   // the span, so their self-attention group is exactly the spliced cohort.
-  const Slot group_slot = slotted_ ? slot : Slot{0};
-  Group g;
-  g.row = row;
-  g.slot = group_slot;
-  g.begin = begin;
-  g.width = width;
-  groups_.push_back(std::move(g));
-  const std::size_t group_index = groups_.size() - 1;
   cursor = 0;
   for (const auto& req : reqs) {
     DecodeTrack t;
     t.request_id = req.id;
     t.row = row;
-    t.slot = group_slot;
+    t.slot = span.slot;
     t.seg_index = 0;  // not in the plan; unused for spliced tracks
     t.src_offset = Col{begin.value() + cursor};
     t.src_len = req.length;
     t.spliced = true;
     cursor += req.length;
-    append_track(std::move(t), group_index);
+    append_track(std::move(t));
   }
 }
 

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "batching/request.hpp"
+#include "batching/slot_allocator.hpp"
 #include "nn/attention.hpp"
 #include "nn/feed_forward.hpp"
 #include "nn/model_config.hpp"
@@ -147,17 +148,6 @@ struct DecodeOptions {
   MaskPolicy mask_policy = MaskPolicy::kSegment;
 };
 
-/// A slot whose every track finished — vacated and ready for re-use by the
-/// continuous-batching coordinator. `begin`/`width` give the reusable column
-/// span of the row (the slot span under kSlotted, the whole row otherwise).
-struct SlotRelease {
-  Row row{0};
-  Slot slot{0};
-  Col begin{0};
-  Index width = 0;
-  std::vector<RequestId> finished;  ///< the requests that occupied it
-};
-
 /// What one decoder iteration produced, beyond the cached state.
 struct DecodeStepOutcome {
   /// Requests that emitted their final token during this iteration.
@@ -220,16 +210,6 @@ class DecodeSession {
   [[nodiscard]] DecodeResult take_result();
 
  private:
-  struct Group {
-    std::vector<std::size_t> members;  ///< track indices
-    Row row{0};
-    Slot slot{0};
-    Col begin{0};     ///< reusable span start (column)
-    Index width = 0;  ///< reusable span width
-    bool released = false;   ///< K/V caches freed (early cleaning)
-    bool completed = false;  ///< all members finished (release event fired)
-  };
-
   /// Per-decoder-layer mutable state.
   struct LayerState {
     std::vector<std::vector<float>> k_cache;  ///< per track, [step][d]
@@ -239,16 +219,20 @@ class DecodeSession {
   };
 
   [[nodiscard]] std::vector<std::size_t> active_tracks() const;
-  void append_track(DecodeTrack track, std::size_t group_index);
+  void append_track(DecodeTrack track);
+  /// Frees the K/V caches of `group`'s members, counting them as freed
+  /// before batch completion. Freeing a group twice frees nothing more.
+  void free_kv(std::size_t group);
 
   const Seq2SeqModel& model_;
   EncoderMemory memory_;
   DecodeOptions opts_;
   bool slotted_ = false;
+  /// Self-attention groups (per slot when slotted_, per row otherwise),
+  /// index-aligned with tracks_.
+  SlotGroupTable groups_;
   Index max_steps_ = 0;
   std::vector<DecodeTrack> tracks_;
-  std::vector<Group> groups_;
-  std::vector<std::size_t> group_of_;  ///< track index -> group index
   std::vector<LayerState> states_;     ///< one per decoder layer
   std::vector<Rng> track_rng_;         ///< kTopK per-request streams
   std::size_t cur_kv_bytes_ = 0;

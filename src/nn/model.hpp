@@ -41,6 +41,9 @@ struct InferenceOptions {
   std::uint64_t sample_seed = 1;
 };
 
+/// The decode half of `opts`, as DecodeSession takes it.
+[[nodiscard]] DecodeOptions decode_options(const InferenceOptions& opts);
+
 struct InferenceResult {
   std::unordered_map<RequestId, std::vector<Index>> outputs;
   Index decode_steps = 0;

@@ -333,9 +333,9 @@ TEST(FlashAttention, SingleTokenSegmentsReproduceValuesExactly) {
   EXPECT_EQ(max_abs_diff(fast, slow), 0.0f);
 }
 
-TEST(FlashAttention, MatchesFusedKernel) {
-  // The previous production kernel is a second, independent oracle: same
-  // fused masking, different softmax structure (two-pass, scalar exp).
+TEST(FlashAttention, MatchesReferenceKernel) {
+  // Flash against the materialized reference over both modes and both mask
+  // policies, on a row with a clipped tail slot and trailing padding.
   const ModelConfig cfg = small_attention_cfg();
   Rng rng(45);
   const MultiHeadAttention mha(cfg, rng);
@@ -358,9 +358,9 @@ TEST(FlashAttention, MatchesFusedKernel) {
     for (const MaskPolicy mask :
          {MaskPolicy::kSegment, MaskPolicy::kRowShared}) {
       const Tensor flash = mha.encoder_forward(x, plan, Col{width}, mode, mask);
-      const Tensor fused =
-          mha.encoder_forward_fused(x, plan, Col{width}, mode, mask);
-      EXPECT_LE(ulp_beyond_abs(flash, fused, kFlashAbsTol), kFlashUlpTol)
+      const Tensor ref =
+          mha.encoder_forward_reference(x, plan, Col{width}, mode, mask);
+      EXPECT_LE(ulp_beyond_abs(flash, ref, kFlashAbsTol), kFlashUlpTol)
           << "mode=" << static_cast<int>(mode)
           << " mask=" << static_cast<int>(mask);
     }

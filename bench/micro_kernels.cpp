@@ -1,5 +1,5 @@
 // google-benchmark micro kernels: GEMM (square, and the decode-shaped
-// Linear), masked softmax, layer norm, GELU, the two attention execution
+// Linear), masked softmax, layer norm, the two attention execution
 // paths (pure full-row vs slotted) on identical payloads, and a full encoder
 // layer at BERT-base dimensions. These quantify the kernel-level redundancy
 // the slotted scheme removes, independent of any serving dynamics. The *Ref
@@ -110,19 +110,6 @@ void BM_LayerNorm(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 512 * n);
 }
 BENCHMARK(BM_LayerNorm)->Arg(256)->Arg(768);
-
-void BM_Gelu(benchmark::State& state) {
-  const Index n = state.range(0);
-  Rng rng(6);
-  const Tensor base = Tensor::random_uniform(Shape{512, n}, rng, 2.0f);
-  for (auto _ : state) {
-    Tensor t = base.clone();
-    gelu_inplace(t);
-    benchmark::DoNotOptimize(t.raw());
-  }
-  state.SetItemsProcessed(state.iterations() * 512 * n);
-}
-BENCHMARK(BM_Gelu)->Arg(768)->Arg(3072);
 
 /// Builds a single-row plan of `slots` segments, each `z` tokens, in the
 /// layout the given mode expects (slot-per-segment when slotted).
@@ -281,11 +268,9 @@ BENCHMARK(BM_EncoderLayer)->Arg(128)->Arg(256)->ArgName("width");
 }  // namespace tcb
 
 int main(int argc, char** argv) {
-  // Tune eagerly so the selection cost never lands inside a measured region,
-  // and record what was selected: a stored baseline is only comparable to a
-  // later run if the cache geometry (and thus the tuned blocking) matches —
+  // Record the GEMM kernel and the cache geometry: a stored baseline is only
+  // comparable to a later run on the same geometry —
   // scripts/check_bench_regression.py keys its gate on this context.
-  tcb::gemm_autotune_all();
   benchmark::AddCustomContext("tcb_gemm_tuning", tcb::gemm_tuning_summary());
   benchmark::AddCustomContext("tcb_cache_l1d",
                               std::to_string(tcb::cache_geometry().l1d_bytes));

@@ -13,24 +13,21 @@
 //           microkernel
 //
 // The microkernel computes an MR x NR tile held in vector registers. Each
-// ISA compiles a small table of template-instantiated variants (e.g.
-// AVX-512: 8x32 / 12x32 / 8x16 / 4x64); which variant runs for a plain
-// matmul, and how deep kc is, comes from tensor/tuning.hpp. Weight GEMMs run
-// only variants whose NR matches the packed panels. Every variant carries
-// row-count instantiations 1..MR of itself, so the bottom row panel runs
-// exactly the rows it has and no padded rows are computed. B panels are
-// zero-padded to NR columns; a partial column panel goes through a C tile on
-// the stack and the write-back clips to the valid region. Task scratch (the
-// A block, the C tile) is on the stack, so pool workers never touch their
-// workspace arenas.
+// ISA compiles one (AVX-512 8x32, AVX2 6x16, NEON 8x8, scalar 4x8), and kc
+// is fixed at 256. The kernel carries row-count instantiations 1..MR of
+// itself, so the bottom row panel runs exactly the rows it has and no padded
+// rows are computed. B panels are zero-padded to NR columns; a partial
+// column panel goes through a C tile on the stack and the write-back clips
+// to the valid region. Task scratch (the A block, the C tile) is on the
+// stack, so pool workers never touch their workspace arenas.
 //
 // Numerical contract: every C element is ONE fused-multiply-add chain in
 // ascending k over all of k, starting from 0.0f. The first kc-block starts
 // the accumulators at zero; later blocks reload them from C, which continues
 // the same chain because a float round-trips through memory exactly. Rows
 // are independent accumulators and lanes are independent output columns, so
-// m, kc, the microkernel variant, the task split and the thread count never
-// reach an element's bits: row i of C depends only on row i of A and on B.
+// m, kc, the task split and the thread count never reach an element's bits:
+// row i of C depends only on row i of A and on B.
 // Batched and single-request runs of a layer therefore agree bitwise for
 // every k — the property the concat-vs-single equivalence suites rely on.
 // The scalar reference (tcb::ref::matmul) reassociates differently and is
@@ -40,6 +37,7 @@
 #include <cmath>
 #include <cstddef>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "parallel/thread_pool.hpp"
@@ -55,30 +53,24 @@ void require(bool ok, const char* what) {
   if (!ok) throw std::invalid_argument(what);
 }
 
-/// Default packed-block depth (the autotuner's floor; see tuning.hpp).
+/// Packed-block depth (kc never affects bits).
 constexpr Index kKc = 256;
-/// Deepest kc-block a task's stack A block holds; matches the autotuner's
-/// ceiling, deeper requests are clamped (kc never affects bits).
-constexpr Index kMaxKc = 1024;
-/// Floats in a task's A block (64 KiB): kMaxKc deep times the widest MR
-/// fits, and at the default kc it holds 64 rows.
+/// Floats in a task's A block (64 KiB): 64 rows at kc = 256, more rows when
+/// k itself is shallower.
 constexpr Index kABlockFloats = 16384;
-/// Largest MR and NR in any variant table below (bounds the C edge tile).
-constexpr Index kMaxMr = 12;
-constexpr Index kMaxNr = 64;
 /// Work floor per parallel task. Smaller tasks cost more in pool handoff
 /// than they gain: on the decode vocab projection (16x128x8000), a 32K
 /// floor ran end to end at 8.4k tokens/s and this one at 9.5k.
 constexpr double kMinMaddsPerTask = 262144.0;
 
-// --- microkernel variants --------------------------------------------------
+// --- the microkernel --------------------------------------------------------
 //
 // ukernel<MR, NV> computes an MR x (NV * lane-width) tile:
 // c[r * ldc + j] (+)= sum_p ap[p * MR + r] * bp[p * NR + j]. `ap` is k-major
 // (MR values per depth), `bp` likewise with NR values per depth. With
 // `accumulate` the accumulators start from the tile already in C (the chain
-// so far), else from zero. Variants must keep MR * NV accumulators plus NV B
-// vectors plus one A broadcast inside the register file.
+// so far), else from zero. kMr x kNv is each ISA's tile: MR * NV
+// accumulators plus NV B vectors plus one A broadcast fit its register file.
 
 #if defined(TCB_SIMD_AVX512)
 
@@ -104,6 +96,12 @@ void ukernel(Index kc, const float* ap, const float* bp, float* c, Index ldc,
     for (int v = 0; v < NV; ++v) _mm512_storeu_ps(c + r * ldc + 16 * v, acc[r][v]);
 }
 
+// 8x32: 16 acc + 2 B + 1 bcast = 19 of 32 zmm.
+constexpr int kMr = 8;
+constexpr int kNv = 2;
+constexpr Index kLanes = 16;
+constexpr const char* kKernelTag = "avx512_8x32";
+
 #elif defined(TCB_SIMD_AVX2)
 
 template <int MR, int NV>
@@ -128,6 +126,12 @@ void ukernel(Index kc, const float* ap, const float* bp, float* c, Index ldc,
     for (int v = 0; v < NV; ++v) _mm256_storeu_ps(c + r * ldc + 8 * v, acc[r][v]);
 }
 
+// 6x16: 12 acc + 2 B + 1 bcast = 15 of 16 ymm.
+constexpr int kMr = 6;
+constexpr int kNv = 2;
+constexpr Index kLanes = 8;
+constexpr const char* kKernelTag = "avx2_6x16";
+
 #elif defined(TCB_SIMD_NEON)
 
 template <int MR, int NV>
@@ -150,10 +154,16 @@ void ukernel(Index kc, const float* ap, const float* bp, float* c, Index ldc,
     for (int v = 0; v < NV; ++v) vst1q_f32(c + r * ldc + 4 * v, acc[r][v]);
 }
 
+// 8x8: 16 acc + 2 B = 18 of 32 q registers.
+constexpr int kMr = 8;
+constexpr int kNv = 2;
+constexpr Index kLanes = 4;
+constexpr const char* kKernelTag = "neon_8x8";
+
 #else
 
 /// Scalar fallback: NV counts 8-wide column groups for the autovectorizer;
-/// std::fma keeps the chain fused like the vector variants.
+/// std::fma keeps the chain fused like the vector kernels.
 template <int MR, int NV>
 void ukernel(Index kc, const float* ap, const float* bp, float* c, Index ldc,
              bool accumulate) TCB_BITWISE {
@@ -173,102 +183,65 @@ void ukernel(Index kc, const float* ap, const float* bp, float* c, Index ldc,
     for (Index j = 0; j < kNR; ++j) c[r * ldc + j] = acc[r * kNR + j];
 }
 
+constexpr int kMr = 4;
+constexpr int kNv = 1;
+constexpr Index kLanes = 8;
+constexpr const char* kKernelTag = "scalar_4x8";
+
 #endif
+
+/// Columns per microkernel tile, and so the panel width of every packed B.
+constexpr Index kNr = kNv * kLanes;
+static_assert(kMr * kKc <= kABlockFloats,
+              "one row panel outgrows the stack A block");
 
 using UkernelFn = void (*)(Index kc, const float* ap, const float* bp,
                            float* c, Index ldc, bool accumulate);
 
-/// ukernel<1, NV> .. ukernel<MR, NV>: entry r - 1 runs r rows.
-template <int NV, int... R>
+/// ukernel<1, kNv> .. ukernel<kMr, kNv>: entry r - 1 runs r rows.
+template <int... R>
 constexpr std::array<UkernelFn, sizeof...(R)> make_row_kernels(
     std::integer_sequence<int, R...>) {
-  return {&ukernel<R + 1, NV>...};
+  return {&ukernel<R + 1, kNv>...};
 }
-template <int MR, int NV>
-constexpr std::array<UkernelFn, MR> kRowKernels =
-    make_row_kernels<NV>(std::make_integer_sequence<int, MR>{});
+constexpr std::array<UkernelFn, kMr> kRowKernels =
+    make_row_kernels(std::make_integer_sequence<int, kMr>{});
 
-struct MicroKernel {
-  const UkernelFn* by_rows;  ///< by_rows[r - 1] computes an r x nr tile
-  Index mr;
-  Index nr;
-  const char* tag;
-};
-
-template <int MR, int NV>
-constexpr MicroKernel variant(Index lanes, const char* tag) {
-  return {kRowKernels<MR, NV>.data(), MR, NV * lanes, tag};
+/// Floats in a (k x n) B packed as kNr-column panels spanning all of k.
+std::size_t packed_floats(Index k, Index n) {
+  return static_cast<std::size_t>((n + kNr - 1) / kNr) *
+         static_cast<std::size_t>(k) * static_cast<std::size_t>(kNr);
 }
-
-#if defined(TCB_SIMD_AVX512)
-// 8x32: 16 acc + 2 B + 1 bcast = 19 of 32 zmm. 12x32: 27. 8x16: 10 (less
-// L1 pressure per panel). 4x64: 21 (wide outputs).
-constexpr MicroKernel kMicroKernels[] = {
-    variant<8, 2>(16, "avx512_8x32"),
-    variant<12, 2>(16, "avx512_12x32"),
-    variant<8, 1>(16, "avx512_8x16"),
-    variant<4, 4>(16, "avx512_4x64"),
-};
-#elif defined(TCB_SIMD_AVX2)
-// 6x16: 12 acc + 2 B + 1 bcast = 15 of 16 ymm (full tilt). 4x16: 11.
-// 8x8: 10.
-constexpr MicroKernel kMicroKernels[] = {
-    variant<6, 2>(8, "avx2_6x16"),
-    variant<4, 2>(8, "avx2_4x16"),
-    variant<8, 1>(8, "avx2_8x8"),
-};
-#elif defined(TCB_SIMD_NEON)
-constexpr MicroKernel kMicroKernels[] = {
-    variant<8, 2>(4, "neon_8x8"),
-    variant<4, 4>(4, "neon_4x16"),
-    variant<8, 1>(4, "neon_8x4"),
-};
-#else
-constexpr MicroKernel kMicroKernels[] = {
-    variant<4, 1>(8, "scalar_4x8"),
-};
-#endif
-
-constexpr int kDefaultKernel = 0;
-/// Panel width of PackedMatrix: the ISA-default microkernel's NR.
-constexpr Index kPackedNr = kMicroKernels[kDefaultKernel].nr;
-
-constexpr bool fits_scratch() {
-  for (const MicroKernel& uk : kMicroKernels)
-    if (uk.mr > kMaxMr || uk.nr > kMaxNr) return false;
-  return kMaxMr * kMaxKc <= kABlockFloats;
-}
-static_assert(fits_scratch(), "a variant outgrows the stack A block or C tile");
 
 /// Packs B (k x n, element (p, j) at b[p * row_stride + j * col_stride])
-/// into nr-column panels that span all of k, zero-padded past column n:
+/// into kNr-column panels that span all of k, zero-padded past column n:
 /// row-major B has strides (n, 1), and the (n, k) operand of matmul_nt
 /// packs its transpose with strides (1, k). `bp` is raw workspace memory,
 /// so padding is written explicitly.
 void pack_b(const float* b, Index k, Index n, Index row_stride,
-            Index col_stride, Index nr, float* bp) TCB_BITWISE {
-  const Index panels = (n + nr - 1) / nr;
+            Index col_stride, float* bp) TCB_BITWISE {
+  const Index panels = (n + kNr - 1) / kNr;
   for (Index jp = 0; jp < panels; ++jp) {
-    const Index j0 = jp * nr;
-    const Index jn = std::min<Index>(nr, n - j0);
+    const Index j0 = jp * kNr;
+    const Index jn = std::min<Index>(kNr, n - j0);
     float* dst = bp + static_cast<std::size_t>(jp) *
-                          static_cast<std::size_t>(k) * nr;
+                          static_cast<std::size_t>(k) * kNr;
     for (Index p = 0; p < k; ++p) {
       const float* src = b + p * row_stride + j0 * col_stride;
-      for (Index j = 0; j < jn; ++j) dst[p * nr + j] = src[j * col_stride];
-      for (Index j = jn; j < nr; ++j) dst[p * nr + j] = 0.0f;
+      for (Index j = 0; j < jn; ++j) dst[p * kNr + j] = src[j * col_stride];
+      for (Index j = jn; j < kNr; ++j) dst[p * kNr + j] = 0.0f;
     }
   }
 }
 
 /// Packs rows [i0, i0+rows) x depths [k0, k0+kc) of A (row-major, leading
-/// dim k) as consecutive row panels of up to mr rows. A panel of r rows is
-/// k-major with stride r, the layout ukernel<r, NV> reads, and starts at
+/// dim k) as consecutive row panels of up to kMr rows. A panel of r rows is
+/// k-major with stride r, the layout ukernel<r, kNv> reads, and starts at
 /// offset (its first row - i0) * kc.
 void pack_a(const float* a, Index k, Index i0, Index rows, Index k0, Index kc,
-            Index mr, float* ap) TCB_BITWISE {
-  for (Index off = 0; off < rows; off += mr) {
-    const Index r_n = std::min<Index>(mr, rows - off);
+            float* ap) TCB_BITWISE {
+  for (Index off = 0; off < rows; off += kMr) {
+    const Index r_n = std::min<Index>(kMr, rows - off);
     float* dst = ap + static_cast<std::size_t>(off) * static_cast<std::size_t>(kc);
     for (Index r = 0; r < r_n; ++r) {
       const float* src = a +
@@ -280,25 +253,24 @@ void pack_a(const float* a, Index k, Index i0, Index rows, Index k0, Index kc,
   }
 }
 
-/// The driver: C(m,n) = A(m,k) * B, with B packed in uk.nr-column panels
+/// The driver: C(m,n) = A(m,k) * B, with B packed in kNr-column panels
 /// spanning all of k. C must already have shape (m, n).
 void gemm_packed(const float* a, Index m, Index k, const float* bp, Index n,
-                 const MicroKernel& uk, Index kc_req, float* c) TCB_BITWISE {
-  const Index mr = uk.mr;
-  const Index nr = uk.nr;
+                 float* c) TCB_BITWISE {
+  const Index mr = kMr;
+  const Index nr = kNr;
   const Index row_panels = (m + mr - 1) / mr;
   const Index col_panels = (n + nr - 1) / nr;
   const GemmTaskGrid grid = gemm_task_grid(m, n, k, mr, nr);
-  const Index kc_max = std::clamp<Index>(kc_req, 1, kMaxKc);
   const Index block_rows =
-      std::max<Index>(mr, kABlockFloats / std::min(kc_max, k) / mr * mr);
+      std::max<Index>(mr, kABlockFloats / std::min(kKc, k) / mr * mr);
   const auto panel_floats = static_cast<std::size_t>(k) * nr;
 
   parallel_for(
       static_cast<std::size_t>(grid.row_blocks * grid.col_blocks),
       [&](std::size_t begin, std::size_t end) {
         alignas(64) float ablock[kABlockFloats];
-        alignas(64) float ctile[kMaxMr * kMaxNr] = {};
+        alignas(64) float ctile[kMr * kNr] = {};
         for (std::size_t t = begin; t < end; ++t) {
           const Index rb = static_cast<Index>(t) / grid.col_blocks;
           const Index cb = static_cast<Index>(t) % grid.col_blocks;
@@ -307,12 +279,12 @@ void gemm_packed(const float* a, Index m, Index k, const float* bp, Index n,
               std::min(m, row_panels * (rb + 1) / grid.row_blocks * mr);
           const Index jp_begin = col_panels * cb / grid.col_blocks;
           const Index jp_end = col_panels * (cb + 1) / grid.col_blocks;
-          for (Index k0 = 0; k0 < k; k0 += kc_max) {
-            const Index kc = std::min(kc_max, k - k0);
+          for (Index k0 = 0; k0 < k; k0 += kKc) {
+            const Index kc = std::min(kKc, k - k0);
             const bool accumulate = k0 > 0;
             for (Index ib = i_begin; ib < i_end; ib += block_rows) {
               const Index rows = std::min(block_rows, i_end - ib);
-              pack_a(a, k, ib, rows, k0, kc, mr, ablock);
+              pack_a(a, k, ib, rows, k0, kc, ablock);
               for (Index jp = jp_begin; jp < jp_end; ++jp) {
                 const Index j0 = jp * nr;
                 const Index jn = std::min(nr, n - j0);
@@ -320,7 +292,7 @@ void gemm_packed(const float* a, Index m, Index k, const float* bp, Index n,
                                       static_cast<std::size_t>(k0) * nr;
                 for (Index off = 0; off < rows; off += mr) {
                   const Index r_n = std::min(mr, rows - off);
-                  const UkernelFn fn = uk.by_rows[r_n - 1];
+                  const UkernelFn fn = kRowKernels[r_n - 1];
                   const float* ap = ablock + off * kc;
                   float* cblk = c + static_cast<std::size_t>(ib + off) *
                                         static_cast<std::size_t>(n) +
@@ -357,53 +329,23 @@ bool prepare(Index m, Index k, Index n, Tensor& c) {
   return true;
 }
 
+/// C(m,n) = A(m,k) * B for an unpacked B with pack_b's strides: B is packed
+/// into the calling thread's workspace first. The scope outlives the
+/// blocking parallel_for, so worker reads always see live storage.
+void pack_and_multiply(const float* a, Index m, Index k, const float* b,
+                       Index row_stride, Index col_stride, Index n,
+                       float* c) TCB_BITWISE {
+  WorkspaceScope scope;
+  float* bp = scope.alloc(packed_floats(k, n));
+  pack_b(b, k, n, row_stride, col_stride, bp);
+  gemm_packed(a, m, k, bp, n, c);
+}
+
 }  // namespace
 
-std::size_t gemm_kernel_count() noexcept {
-  return sizeof(kMicroKernels) / sizeof(kMicroKernels[0]);
-}
-
-GemmKernelInfo gemm_kernel_info(std::size_t i) noexcept {
-  GemmKernelInfo info;
-  if (i < gemm_kernel_count()) {
-    info.mr = kMicroKernels[i].mr;
-    info.nr = kMicroKernels[i].nr;
-    info.tag = kMicroKernels[i].tag;
-  }
-  return info;
-}
-
-GemmBlocking gemm_default_blocking() {
-  GemmBlocking b;
-  b.kc = kKc;
-  b.mr = kMicroKernels[kDefaultKernel].mr;
-  b.nr = kPackedNr;
-  b.kernel = kDefaultKernel;
-  b.tag = std::string(kMicroKernels[kDefaultKernel].tag) + "/kc" +
-          std::to_string(kKc);
-  return b;
-}
-
-void gemm_blocked_with(const float* a, const float* b, float* c, Index m,
-                       Index k, Index n, bool transposed_b,
-                       const GemmBlocking& blk) {
-  require(m > 0 && n > 0 && k > 0, "gemm_blocked_with: empty operand");
-  require(blk.kernel >= 0 &&
-              static_cast<std::size_t>(blk.kernel) < gemm_kernel_count() &&
-              blk.kc > 0,
-          "gemm_blocked_with: invalid blocking");
-  // B is packed into the calling thread's workspace; the scope outlives the
-  // blocking parallel_for, so worker reads always see live storage.
-  const MicroKernel& uk = kMicroKernels[blk.kernel];
-  WorkspaceScope scope;
-  float* bp = scope.alloc(static_cast<std::size_t>((n + uk.nr - 1) / uk.nr) *
-                          static_cast<std::size_t>(k) *
-                          static_cast<std::size_t>(uk.nr));
-  if (transposed_b)
-    pack_b(b, k, n, 1, k, uk.nr, bp);
-  else
-    pack_b(b, k, n, n, 1, uk.nr, bp);
-  gemm_packed(a, m, k, bp, n, uk, blk.kc, c);
+std::string gemm_tuning_summary() {
+  return cache_geometry().to_string() + " " + kKernelTag + "/kc" +
+         std::to_string(kKc);
 }
 
 GemmTaskGrid gemm_task_grid(Index m, Index n, Index k, Index mr, Index nr) {
@@ -431,11 +373,9 @@ GemmTaskGrid gemm_task_grid(Index m, Index n, Index k, Index mr, Index nr) {
   return g;
 }
 
-PackedMatrix::PackedMatrix(Index k, Index n) : k_(k), n_(n), nr_(kPackedNr) {
+PackedMatrix::PackedMatrix(Index k, Index n) : k_(k), n_(n) {
   require(k >= 0 && n >= 0, "PackedMatrix: negative extent");
-  data_.assign(static_cast<std::size_t>((n + nr_ - 1) / nr_) *
-                   static_cast<std::size_t>(k) * static_cast<std::size_t>(nr_),
-               0.0f);
+  data_.assign(packed_floats(k, n), 0.0f);
 }
 
 PackedMatrix PackedMatrix::random_uniform(Index k, Index n, Rng& rng,
@@ -443,14 +383,14 @@ PackedMatrix PackedMatrix::random_uniform(Index k, Index n, Rng& rng,
   PackedMatrix pm(k, n);
   // Row-major draw order, the order Tensor::random_uniform uses, written
   // straight to each element's panel slot.
-  const Index panels = (n + pm.nr_ - 1) / pm.nr_;
+  const Index panels = (n + kNr - 1) / kNr;
   for (Index p = 0; p < k; ++p)
     for (Index jp = 0; jp < panels; ++jp) {
       float* dst = pm.data_.data() +
                    (static_cast<std::size_t>(jp) * static_cast<std::size_t>(k) +
                     static_cast<std::size_t>(p)) *
-                       static_cast<std::size_t>(pm.nr_);
-      const Index jn = std::min(pm.nr_, n - jp * pm.nr_);
+                       static_cast<std::size_t>(kNr);
+      const Index jn = std::min(kNr, n - jp * kNr);
       for (Index j = 0; j < jn; ++j) dst[j] = rng.weight(scale);
     }
   return pm;
@@ -460,11 +400,11 @@ Tensor PackedMatrix::unpack() const {
   Tensor b(Shape{k_, n_});
   for (Index p = 0; p < k_; ++p)
     for (Index j = 0; j < n_; ++j)
-      b.at(p, j) = data_[(static_cast<std::size_t>(j / nr_) *
+      b.at(p, j) = data_[(static_cast<std::size_t>(j / kNr) *
                               static_cast<std::size_t>(k_) +
                           static_cast<std::size_t>(p)) *
-                             static_cast<std::size_t>(nr_) +
-                         static_cast<std::size_t>(j % nr_)];
+                             static_cast<std::size_t>(kNr) +
+                         static_cast<std::size_t>(j % kNr)];
   return b;
 }
 
@@ -473,8 +413,7 @@ void matmul(const Tensor& a, const Tensor& b, Tensor& c) {
   const Index m = a.dim(0), k = a.dim(1), n = b.dim(1);
   require(b.dim(0) == k, "matmul: inner dimension mismatch");
   if (!prepare(m, k, n, c)) return;
-  gemm_blocked_with(a.raw(), b.raw(), c.raw(), m, k, n,
-                    /*transposed_b=*/false, select_blocking(classify_gemm(m, n)));
+  pack_and_multiply(a.raw(), m, k, b.raw(), n, 1, n, c.raw());
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
@@ -488,13 +427,7 @@ void matmul(const Tensor& a, const PackedMatrix& b, Tensor& c) {
   const Index m = a.dim(0), k = a.dim(1), n = b.cols();
   require(b.rows() == k, "matmul: inner dimension mismatch");
   if (!prepare(m, k, n, c)) return;
-  // The tuned variant when it reads this panel width, else the default
-  // variant, which defines it.
-  const GemmBlocking& blk = select_blocking(classify_gemm(m, n));
-  const MicroKernel& uk = kMicroKernels[blk.nr == b.panel_width()
-                                            ? blk.kernel
-                                            : kDefaultKernel];
-  gemm_packed(a.raw(), m, k, b.raw(), n, uk, blk.kc, c.raw());
+  gemm_packed(a.raw(), m, k, b.raw(), n, c.raw());
 }
 
 void matmul_nt(const Tensor& a, const Tensor& b, Tensor& c) {
@@ -502,8 +435,7 @@ void matmul_nt(const Tensor& a, const Tensor& b, Tensor& c) {
   const Index m = a.dim(0), k = a.dim(1), n = b.dim(0);
   require(b.dim(1) == k, "matmul_nt: inner dimension mismatch");
   if (!prepare(m, k, n, c)) return;
-  gemm_blocked_with(a.raw(), b.raw(), c.raw(), m, k, n,
-                    /*transposed_b=*/true, select_blocking(classify_gemm(m, n)));
+  pack_and_multiply(a.raw(), m, k, b.raw(), 1, k, n, c.raw());
 }
 
 Tensor matmul_nt(const Tensor& a, const Tensor& b) {

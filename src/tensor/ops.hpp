@@ -50,10 +50,10 @@ struct CacheLineAllocator {
   }
 };
 
-/// A (k,n) matrix stored the way the GEMM microkernels read B: NR-column
+/// A (k,n) matrix stored the way the GEMM microkernel reads B: NR-column
 /// panels that span all of k. Panel jp holds k rows of NR floats, columns
-/// jp*NR .. jp*NR+NR-1, zero-padded past n. NR is the ISA-default
-/// microkernel's width. Linear layers keep their weights only in this form,
+/// jp*NR .. jp*NR+NR-1, zero-padded past n. NR is the width of the ISA's
+/// GEMM microkernel. Linear layers keep their weights only in this form,
 /// so a forward pass multiplies with no repack and no second copy exists.
 class PackedMatrix {
  public:
@@ -67,12 +67,11 @@ class PackedMatrix {
 
   [[nodiscard]] Index rows() const noexcept { return k_; }
   [[nodiscard]] Index cols() const noexcept { return n_; }
-  [[nodiscard]] Index panel_width() const noexcept { return nr_; }
 
   /// The row-major (k,n) matrix, as a new tensor.
   [[nodiscard]] Tensor unpack() const;
 
-  /// Panel storage: panel jp starts at raw() + jp * rows() * panel_width().
+  /// Panel storage: panel jp starts at raw() + jp * rows() * NR.
   [[nodiscard]] const float* raw() const noexcept TCB_LIFETIME_BOUND {
     return data_.data();
   }
@@ -82,7 +81,6 @@ class PackedMatrix {
 
   Index k_ = 0;
   Index n_ = 0;
-  Index nr_ = 0;
   std::vector<float, CacheLineAllocator<float>> data_;
 };
 
@@ -135,9 +133,6 @@ void layer_norm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
 
 /// Elementwise ReLU in place.
 void relu_inplace(Tensor& t) TCB_BITWISE;
-
-/// Elementwise tanh-approximation GELU in place (the variant used by BERT).
-void gelu_inplace(Tensor& t) TCB_BITWISE;
 
 /// argmax over the last dimension of a (m,n) tensor; returns m indices.
 [[nodiscard]] std::vector<Index> argmax_rows(const Tensor& t);

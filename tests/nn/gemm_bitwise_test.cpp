@@ -16,7 +16,6 @@
 #include "nn/linear.hpp"
 #include "nn/model.hpp"
 #include "tensor/ops.hpp"
-#include "tensor/tuning.hpp"
 #include "workload/trace.hpp"
 
 namespace tcb {
@@ -94,14 +93,16 @@ TEST(GemmBitwise, EveryElementIsOneAscendingFmaChain) {
   }
 }
 
-TEST(GemmBitwise, EveryVariantAndKcGiveTheSameChain) {
-  // Whatever the autotuner picks: every microkernel variant of this ISA at
-  // several depths, on edge shapes (13 rows, 100 columns), plain and
-  // transposed B, reproduces the explicit chain.
+TEST(GemmBitwise, EdgeShapeAcrossKcBlocksIsOneChain) {
+  // A partial row panel (13 rows), a partial column panel (100 columns) and
+  // kc blocks of 256 + 256 + 88, so the second and third blocks continue the
+  // chain from C: the packed weight, plain B and transposed B all reproduce
+  // the explicit chain.
   const Index m = 13, k = 600, n = kOut;
   Rng rng(77);
+  const PackedMatrix packed = PackedMatrix::random_uniform(k, n, rng, 1.0f);
+  const Tensor b = packed.unpack();
   const Tensor a = Tensor::random_uniform(Shape{m, k}, rng, 1.0f);
-  const Tensor b = Tensor::random_uniform(Shape{k, n}, rng, 1.0f);
   Tensor bt(Shape{n, k});
   Tensor expected(Shape{m, n});
   for (Index i = 0; i < m; ++i)
@@ -113,20 +114,11 @@ TEST(GemmBitwise, EveryVariantAndKcGiveTheSameChain) {
   for (Index p = 0; p < k; ++p)
     for (Index j = 0; j < n; ++j) bt.at(j, p) = b.at(p, j);
 
-  for (std::size_t v = 0; v < gemm_kernel_count(); ++v) {
-    for (const Index kc : {Index{64}, Index{256}, Index{1024}}) {
-      GemmBlocking blk;
-      blk.kernel = static_cast<int>(v);
-      blk.kc = kc;
-      Tensor c(Shape{m, n});
-      gemm_blocked_with(a.raw(), b.raw(), c.raw(), m, k, n, false, blk);
-      EXPECT_TRUE(same_row_bits(c, expected, m))
-          << gemm_kernel_info(v).tag << " kc=" << kc;
-      gemm_blocked_with(a.raw(), bt.raw(), c.raw(), m, k, n, true, blk);
-      EXPECT_TRUE(same_row_bits(c, expected, m))
-          << gemm_kernel_info(v).tag << " kc=" << kc << " transposed";
-    }
-  }
+  Tensor from_packed;
+  matmul(a, packed, from_packed);
+  EXPECT_TRUE(same_row_bits(from_packed, expected, m)) << "packed";
+  EXPECT_TRUE(same_row_bits(matmul(a, b), expected, m)) << "matmul";
+  EXPECT_TRUE(same_row_bits(matmul_nt(a, bt), expected, m)) << "matmul_nt";
 }
 
 TEST(GemmBitwise, PackedWeightsMatchRowMajorDraws) {
@@ -168,9 +160,8 @@ PackedBatch alone(const Request& req) {
 }
 
 TEST(DeepKEquivalence, WideFeedForwardIsConcatInvariant) {
-  // d_ff 1040 makes the FFN's second GEMM deeper than the deepest kc block
-  // the autotuner may pick (1024), so it spans two blocks whatever the
-  // tuning; the test-scale configs (d_ff 64) never get past one.
+  // d_ff 1040 makes the FFN's second GEMM span five 256-deep kc blocks;
+  // the test-scale configs (d_ff 64) never get past one.
   ModelConfig cfg = ModelConfig::test_scale();
   cfg.d_model = 64;
   cfg.d_ff = 1040;

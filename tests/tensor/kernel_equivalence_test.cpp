@@ -22,8 +22,8 @@ namespace {
 
 constexpr float kTol = 1e-4f;
 
-/// Shapes chosen to straddle the microkernel tiles (MR up to 12, NR up to
-/// 64, kc >= 256): scalars, primes, one-off-a-power-of-two, and sizes
+/// Shapes chosen to straddle the microkernel tiles (MR up to 8, NR up to
+/// 32, kc = 256): scalars, primes, one-off-a-power-of-two, and sizes
 /// crossing the kc blocking boundary.
 const std::vector<Index> kEdgeSizes = {1, 3, 5, 7, 17, 33, 63, 65, 100, 129};
 
@@ -106,15 +106,9 @@ TEST(KernelEquivalence, LayerNormMatchesReference) {
   }
 }
 
-TEST(KernelEquivalence, GeluAndReluMatchReference) {
+TEST(KernelEquivalence, ReluMatchesReference) {
   Rng rng(16);
   for (const Index n : kEdgeSizes) {
-    Tensor fast = Tensor::random_uniform(Shape{5, n}, rng, 4.0f);
-    Tensor slow = fast.clone();
-    gelu_inplace(fast);
-    ref::gelu_inplace(slow);
-    EXPECT_LE(max_abs_diff(fast, slow), kTol) << "gelu n=" << n;
-
     Tensor rfast = Tensor::random_uniform(Shape{5, n}, rng, 4.0f);
     Tensor rslow = rfast.clone();
     relu_inplace(rfast);

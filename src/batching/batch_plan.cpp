@@ -148,42 +148,8 @@ SegmentCache::SegmentCache(const BatchPlan& plan, Col width)
   }
 }
 
-SegmentCacheSlot::SegmentCacheSlot(const SegmentCacheSlot& other) {
-  const MutexLock lock(other.mutex_);
-  cache_ = other.cache_;
-  published_.store(cache_.get(), std::memory_order_release);
-}
-
-SegmentCacheSlot& SegmentCacheSlot::operator=(const SegmentCacheSlot& other) {
-  if (this == &other) return *this;
-  std::shared_ptr<const SegmentCache> snapshot;
-  {
-    const MutexLock lock(other.mutex_);
-    snapshot = other.cache_;
-  }
-  const MutexLock lock(mutex_);
-  cache_ = std::move(snapshot);
-  published_.store(cache_.get(), std::memory_order_release);
-  return *this;
-}
-
-const SegmentCache& SegmentCacheSlot::get_or_build(const BatchPlan& plan,
-                                                   Col width) const {
-  // Steady state: one acquire load, no lock — as cheap as the old
-  // unsynchronized read, but actually safe against a concurrent first touch.
-  if (const SegmentCache* fast = published_.load(std::memory_order_acquire);
-      fast != nullptr && fast->width() == width.value())
-    return *fast;
-  const MutexLock lock(mutex_);
-  if (!cache_ || cache_->width() != width.value()) {
-    cache_ = std::make_shared<const SegmentCache>(plan, width);
-    published_.store(cache_.get(), std::memory_order_release);
-  }
-  return *cache_;
-}
-
-const SegmentCache& BatchPlan::segment_cache(Col width) const {
-  return seg_cache_.get_or_build(*this, width);
+SegmentCache BatchPlan::segment_cache(Col width) const {
+  return SegmentCache(*this, width);
 }
 
 std::vector<std::int32_t> segment_map(const RowLayout& row) {

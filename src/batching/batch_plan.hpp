@@ -13,15 +13,12 @@
 //     per slot.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "batching/request.hpp"
-#include "parallel/sync.hpp"
 #include "tensor/strong_index.hpp"
 #include "util/lifetime.hpp"
 #include "util/numeric.hpp"
@@ -75,43 +72,6 @@ struct RowLayout {
 };
 
 class SegmentCache;
-struct BatchPlan;
-
-/// Thread-safe lazy holder for a plan's SegmentCache. First touch used to be
-/// a naked `mutable std::shared_ptr` assignment — concurrent first calls to
-/// BatchPlan::segment_cache() on a shared plan raced (two builds, one
-/// leaked into a reader mid-reset). Now first touch is serialized by an
-/// annotated mutex and the built cache is *published* through an
-/// acquire/release atomic, so the steady-state fast path is one atomic load —
-/// no lock, no slower than the unsynchronized original.
-///
-/// Copies share the built cache (shared_ptr), like the plain member did.
-/// Width changes remain single-threaded by contract: concurrent callers must
-/// agree on the width (they do — width is derived from the materialized
-/// batch), and rebuilding at a new width while old references are live is
-/// still a caller bug, exactly as before.
-class SegmentCacheSlot {
- public:
-  SegmentCacheSlot() = default;
-  SegmentCacheSlot(const SegmentCacheSlot& other) TCB_EXCLUDES(mutex_);
-  SegmentCacheSlot& operator=(const SegmentCacheSlot& other)
-      TCB_EXCLUDES(mutex_);
-
-  /// Returns the cache for `width`, building it under the lock on first
-  /// touch (or when the width changed, which must be single-threaded).
-  /// The reference borrows from this slot (and stays valid while any copy
-  /// of it shares the built cache), not from `plan`.
-  const SegmentCache& get_or_build(const BatchPlan& plan, Col width) const
-      TCB_LIFETIME_BOUND TCB_EXCLUDES(mutex_);
-
- private:
-  mutable Mutex mutex_ TCB_GUARDS(cache_)
-      TCB_ACQUIRED_AFTER(lock_order::formation);
-  mutable std::shared_ptr<const SegmentCache> cache_ TCB_GUARDED_BY(mutex_);
-  /// Fast-path view of cache_.get(): written release under mutex_, read
-  /// acquire lock-free. Never dangles while cache_ owns the pointee.
-  mutable std::atomic<const SegmentCache*> published_ TCB_LOCK_FREE{nullptr};
-};
 
 struct BatchPlan {
   Scheme scheme = Scheme::kConcatPure;
@@ -147,22 +107,11 @@ struct BatchPlan {
     return slot_len > 0 ? slot_len : row.width;
   }
 
-  /// Mask geometry at `width`, built on first use and cached on the plan so
-  /// every encoder layer, attention head, and decode step reuses one copy.
-  ///
-  /// Threading contract: concurrent calls at the same width are safe,
-  /// including the very first touch (SegmentCacheSlot serializes the build
-  /// and publishes the result; the built-cache fast path is one lock-free
-  /// atomic load). Callers at a *different* width — which implies the plan
-  /// was re-materialized — must still be single-threaded, and mutating
-  /// `rows` after a cache was built leaves the cache stale; plans are
-  /// immutable once handed to the engine.
-  [[nodiscard]] const SegmentCache& segment_cache(Col width) const
-      TCB_LIFETIME_BOUND;
-
- private:
-  /// Lazily built by segment_cache(); shared so copied plans share the work.
-  SegmentCacheSlot seg_cache_;
+  /// Mask geometry at `width`. Built fresh on every call (microseconds even
+  /// for a full 16 x 400 grid), so callers build it once and share it: the
+  /// encoder per forward before its fan-out, a decode session once for its
+  /// lifetime.
+  [[nodiscard]] SegmentCache segment_cache(Col width) const;
 };
 
 /// Per-position segment index of a row: map[pos] = index into row.segments,
@@ -171,9 +120,8 @@ struct BatchPlan {
 
 /// Mask geometry of a whole plan at one materialized width, precomputed so
 /// the attention kernel never rebuilds per-row segment maps inside the
-/// layer/head loops (it used to, once per layer of every forward). Built
-/// lazily by BatchPlan::segment_cache() and shared by reference from then
-/// on; all arrays are flattened rows x width.
+/// head/task loops. Returned by BatchPlan::segment_cache(); all arrays are
+/// flattened rows x width.
 class SegmentCache {
  public:
   SegmentCache(const BatchPlan& plan, Col width);

@@ -94,15 +94,13 @@ std::size_t SlotGroupTable::splice(SlotSpan span,
 }
 
 SlotAllocator::SlotAllocator(const BatchPlan& plan) {
-  MutexLock lock(mutex_);
   const SlotGroupTable groups(
       plan, plan.scheme == Scheme::kConcatSlotted && plan.slot_len > 0);
   for (std::size_t i = 0; i < groups.spans().size(); ++i) {
     if (!groups.formed(i)) free_list_.push_back(entries_.size());
     entries_.push_back(Entry{groups.spans()[i], groups.formed(i)});
   }
-  total_slots_ = static_cast<Index>(entries_.size());
-  stats_.total_slots = total_slots_;
+  stats_.total_slots = static_cast<Index>(entries_.size());
   stats_.occupied_slots = static_cast<Index>(
       std::count_if(entries_.begin(), entries_.end(),
                     [](const Entry& e) { return e.occupied; }));
@@ -115,7 +113,6 @@ std::size_t SlotAllocator::find(Row row, Slot slot) const {
 }
 
 bool SlotAllocator::release(Row row, Slot slot) {
-  MutexLock lock(mutex_);
   const std::size_t i = find(row, slot);
   TCB_CHECK(i < entries_.size(), "SlotAllocator::release: unknown slot");
   if (!entries_[i].occupied) return false;
@@ -127,7 +124,6 @@ bool SlotAllocator::release(Row row, Slot slot) {
 }
 
 bool SlotAllocator::acquire(Row row, Slot slot) {
-  MutexLock lock(mutex_);
   const std::size_t i = find(row, slot);
   TCB_CHECK(i < entries_.size(), "SlotAllocator::acquire: unknown slot");
   if (entries_[i].occupied) return false;
@@ -140,7 +136,6 @@ bool SlotAllocator::acquire(Row row, Slot slot) {
 }
 
 std::vector<SlotSpan> SlotAllocator::vacant() const {
-  MutexLock lock(mutex_);
   std::vector<SlotSpan> out;
   out.reserve(free_list_.size());
   for (const auto i : free_list_) out.push_back(entries_[i].span);
@@ -148,19 +143,16 @@ std::vector<SlotSpan> SlotAllocator::vacant() const {
 }
 
 Index SlotAllocator::max_span_width() const {
-  MutexLock lock(mutex_);
   Index widest = 0;
   for (const auto& e : entries_) widest = std::max(widest, e.span.width);
   return widest;
 }
 
 SlotAllocatorStats SlotAllocator::stats() const {
-  MutexLock lock(mutex_);
   return stats_;
 }
 
 double SlotAllocator::occupied_fraction() const {
-  MutexLock lock(mutex_);
   if (entries_.empty()) return 1.0;
   return static_cast<double>(stats_.occupied_slots) /
          static_cast<double>(entries_.size());

@@ -11,19 +11,18 @@
 // here, asks for the vacant spans, and splices newly-admitted requests into
 // them between decoder iterations.
 //
-// Thread-safety: the multi-worker pipeline has one coordinator but release
-// events can surface from worker completions; every transition goes through
-// one annotated mutex, with a free list so release/allocate stay O(1)/O(k).
-// Vacancy order is the release order (FIFO), which keeps continuous-mode
-// runs deterministic: the coordinator processes step events in a canonical
-// order, so the free list's history is a pure function of the trace.
+// Not thread-safe: each live batch's allocator belongs to the serving
+// coordinator, which steps continuous batches itself and is the only
+// caller. A free list keeps release/acquire at O(1)/O(k). Vacancy order is
+// the release order (FIFO), which keeps continuous-mode runs deterministic:
+// the coordinator processes step events in a canonical order, so the free
+// list's history is a pure function of the trace.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 #include "batching/batch_plan.hpp"
-#include "parallel/sync.hpp"
 #include "util/lifetime.hpp"
 
 namespace tcb {
@@ -141,32 +140,34 @@ class SlotAllocator {
   explicit SlotAllocator(const BatchPlan& plan);
 
   /// Slot-grid size; fixed at construction.
-  [[nodiscard]] Index total_slots() const noexcept { return total_slots_; }
+  [[nodiscard]] Index total_slots() const noexcept {
+    return stats_.total_slots;
+  }
 
   /// Marks (row, slot) vacant and appends it to the free list. Returns false
   /// (and changes nothing) if the slot was already vacant — release events
   /// are idempotent per occupancy period.
-  bool release(Row row, Slot slot) TCB_EXCLUDES(mutex_);
+  bool release(Row row, Slot slot);
 
   /// Marks (row, slot) occupied and removes it from the free list, returning
   /// its span. Returns false if the slot is not currently vacant.
-  bool acquire(Row row, Slot slot) TCB_EXCLUDES(mutex_);
+  bool acquire(Row row, Slot slot);
 
   /// Snapshot of the vacant spans in free-list (release) order — the order
   /// the coordinator offers slots to the scheduler.
-  [[nodiscard]] std::vector<SlotSpan> vacant() const TCB_EXCLUDES(mutex_);
+  [[nodiscard]] std::vector<SlotSpan> vacant() const;
 
   /// Widest span in the grid (occupied or not) — the largest request this
   /// batch's frozen geometry could ever admit. The coordinator compares it
   /// against the pending mix to decide when a live batch's geometry has
   /// drifted too far from the arrivals to keep splicing (0 for an empty
   /// grid).
-  [[nodiscard]] Index max_span_width() const TCB_EXCLUDES(mutex_);
+  [[nodiscard]] Index max_span_width() const;
 
-  [[nodiscard]] SlotAllocatorStats stats() const TCB_EXCLUDES(mutex_);
+  [[nodiscard]] SlotAllocatorStats stats() const;
 
   /// occupied / total, in [0, 1]; 1.0 for an empty grid (nothing to fill).
-  [[nodiscard]] double occupied_fraction() const TCB_EXCLUDES(mutex_);
+  [[nodiscard]] double occupied_fraction() const;
 
  private:
   struct Entry {
@@ -175,20 +176,12 @@ class SlotAllocator {
   };
 
   /// Index into entries_ for (row, slot), or entries_.size() if unknown.
-  [[nodiscard]] std::size_t find(Row row, Slot slot) const
-      TCB_REQUIRES(mutex_);
+  [[nodiscard]] std::size_t find(Row row, Slot slot) const;
 
-  Index total_slots_ = 0;  ///< immutable after construction
-
-  /// Guards the occupancy grid and free list. Leaf lock of the execution
-  /// stage: taken by the serving coordinator around release/splice events,
-  /// never while acquiring any other lock.
-  mutable Mutex mutex_ TCB_GUARDS(entries_, free_list_, stats_)
-      TCB_ACQUIRED_AFTER(lock_order::execution);
-  std::vector<Entry> entries_ TCB_GUARDED_BY(mutex_);
+  std::vector<Entry> entries_;
   /// Vacant entries, oldest release first.
-  std::vector<std::size_t> free_list_ TCB_GUARDED_BY(mutex_);
-  SlotAllocatorStats stats_ TCB_GUARDED_BY(mutex_);
+  std::vector<std::size_t> free_list_;
+  SlotAllocatorStats stats_;
 };
 
 }  // namespace tcb

@@ -1,7 +1,6 @@
 #include "nn/attention.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -95,11 +94,9 @@ Tensor MultiHeadAttention::encoder_forward(const Tensor& x,
   wk_.forward(x, k_tl);
   wv_.forward(x, v_tl);
 
-  // Mask geometry, built once per (plan, width) and reused across every
-  // layer and head of the batch (the per-forward rebuild used to dominate
-  // narrow batches). Touched here, before the fan-out, per the cache's
-  // threading contract.
-  const SegmentCache& sc = plan.segment_cache(width_col);
+  // Mask geometry, built once per forward on the calling thread and shared
+  // read-only by every task of the fan-out.
+  const SegmentCache sc = plan.segment_cache(width_col);
   TCB_CHECK(sc.row_count() == rows && sc.width() == width,
             "encoder_forward: segment cache geometry mismatch");
 
@@ -132,21 +129,12 @@ Tensor MultiHeadAttention::encoder_forward(const Tensor& x,
   float* pout = heads_tl.raw();
   const Index dh = head_dim_;
 
-  // Task scratch (the K^T panel plus the scaled query) is carved per chunk
-  // from the calling thread's arena before the fan-out, so pool workers
-  // never grow arenas of their own: a worker that sat out every warm-up call
-  // cannot allocate later. parallel_for runs at most min(parallelism, tasks)
-  // chunks, and each claims one slab.
+  // Per-chunk task scratch (the K^T panel plus the scaled query), carved
+  // from the calling thread's arena before the fan-out.
   Index max_w = 0;
   for (const Task& t : tasks) max_w = std::max(max_w, t.width);
-  const std::size_t chunks =
-      std::min(ThreadPool::global().parallelism(), tasks.size());
-  const std::size_t per_chunk =
-      (static_cast<std::size_t>(max_w + 1) * static_cast<std::size_t>(dh) + 15) &
-      ~std::size_t{15};
-  WorkspaceScope scratch_scope;
-  float* scratch = scratch_scope.alloc(chunks * per_chunk);
-  std::atomic<std::size_t> next_chunk TCB_LOCK_FREE{0};
+  ChunkScratch scratch(tasks.size(), static_cast<std::size_t>(max_w + 1) *
+                                         static_cast<std::size_t>(dh));
 
   parallel_for(tasks.size(), [&, pq, pk, pv,
                               pout](std::size_t begin_task,
@@ -165,9 +153,7 @@ Tensor MultiHeadAttention::encoder_forward(const Tensor& x,
     // into the chunk's scratch slab: s[j] += q[c] * kt[c][j] for each of the dh
     // channels, so the hot loop is straight-line axpy with no horizontal
     // reductions, and exp runs vectorized over the strip.
-    const std::size_t chunk = next_chunk.fetch_add(1, std::memory_order_relaxed);
-    TCB_DCHECK(chunk < chunks, "encoder_forward: more chunks than scratch slabs");
-    float* kt = scratch + chunk * per_chunk;
+    float* kt = scratch.claim();
     float* qs = kt + static_cast<std::size_t>(max_w) * static_cast<std::size_t>(dh);
     std::vector<std::pair<Index, Index>> spans;
     for (std::size_t ti = begin_task; ti < end_task; ++ti) {

@@ -91,17 +91,12 @@ DecodeSession::DecodeSession(const Seq2SeqModel& model, EncoderMemory memory,
       opts_(opts),
       slotted_(opts_.mode == AttentionMode::kSlotted &&
                memory_.plan.slot_len > 0),
-      groups_(memory_.plan, slotted_) {
+      groups_(memory_.plan, slotted_),
+      src_cache_(memory_.plan.segment_cache(memory_.width)) {
   const ModelConfig& cfg = model_.config();
   max_steps_ = std::min<Index>(opts_.max_steps, cfg.max_len);
 
   if (memory_.plan.empty()) return;
-
-  // Source mask geometry, shared with the encoder via the plan's cache.
-  // Touched here, before any fan-out, per the cache's threading contract;
-  // outside debug builds the warm-up is the only use, hence maybe_unused.
-  [[maybe_unused]] const SegmentCache& src_cache =
-      memory_.plan.segment_cache(memory_.width);
 
   // --- Layer state: precomputed cross K/V ----------------------------------
   const auto& layers = model_.decoder_layers();
@@ -157,11 +152,6 @@ DecodeStepOutcome DecodeSession::step() {
   result_.steps = step_count_;
   const Index a_count = static_cast<Index>(active.size());
 
-  // Source mask geometry (debug-checked below); the build was warmed in the
-  // constructor, so this is the lock-free published-pointer fast path.
-  [[maybe_unused]] const SegmentCache& src_cache =
-      memory_.plan.segment_cache(memory_.width);
-
   // Input embeddings: previous token (BOS before a track's first step) +
   // separate PE at the track-local position |emitted|. Before any splice all
   // active tracks sit at the same position (== global step index), so this
@@ -200,10 +190,21 @@ DecodeStepOutcome DecodeSession::step() {
     }
     result_.peak_kv_bytes = std::max(result_.peak_kv_bytes, cur_kv_bytes_);
 
+    // Keys each track attends over: every cached step of its group.
+    std::vector<std::size_t> keys(active.size(), 0);
+    for (std::size_t ai = 0; ai < active.size(); ++ai)
+      for (const auto m : groups_.members(groups_.group_of(active[ai])))
+        keys[ai] += st.k_cache[m].size() / static_cast<std::size_t>(d);
+    const std::size_t tasks =
+        static_cast<std::size_t>(a_count) * static_cast<std::size_t>(heads);
+    // Score scratch, one slab per chunk from the calling thread's arena.
+    ChunkScratch self_scratch(tasks,
+                              *std::max_element(keys.begin(), keys.end()));
     Tensor attn(Shape{a_count, d});
     parallel_for(
-        static_cast<std::size_t>(a_count) * static_cast<std::size_t>(heads),
+        tasks,
         [&](std::size_t begin, std::size_t end) {
+          float* scores = self_scratch.claim();
           for (std::size_t task = begin; task < end; ++task) {
             const Index ai = static_cast<Index>(task / heads);
             const Index h = static_cast<Index>(task % heads);
@@ -212,14 +213,7 @@ DecodeStepOutcome DecodeSession::step() {
                 groups_.members(groups_.group_of(a));
             const std::size_t head_off = static_cast<std::size_t>(h) * dh;
             const float* qv = q.row(ai) + head_off;
-
-            // Score scratch from this worker's arena (rewound per task;
-            // steady-state decode steps allocate nothing).
-            std::size_t total = 0;
-            for (const auto m : members)
-              total += st.k_cache[m].size() / static_cast<std::size_t>(d);
-            WorkspaceScope scope;
-            float* scores = scope.alloc(total);
+            const std::size_t total = keys[static_cast<std::size_t>(ai)];
             // Scores over every member's cached steps; the redundant
             // cross-request entries are computed, then masked (paper
             // Eq. 5-6 applied step-wise).
@@ -276,10 +270,15 @@ DecodeStepOutcome DecodeSession::step() {
 
     // ---- Cross-attention over the source span ---------------------------
     const Tensor q2 = layer.cross_attn().wq().forward(x1);
+    Index max_span = 0;
+    for (const auto a : active)
+      max_span = std::max(max_span, tracks_[a].src_len);
+    ChunkScratch cross_scratch(tasks, static_cast<std::size_t>(max_span));
     Tensor attn2(Shape{a_count, d});
     parallel_for(
-        static_cast<std::size_t>(a_count) * static_cast<std::size_t>(heads),
+        tasks,
         [&](std::size_t begin, std::size_t end) {
+          float* scores = cross_scratch.claim();
           for (std::size_t task = begin; task < end; ++task) {
             const Index ai = static_cast<Index>(task / heads);
             const Index h = static_cast<Index>(task % heads);
@@ -306,12 +305,10 @@ DecodeStepOutcome DecodeSession::step() {
             // plan-derived segment table cannot vouch for them.
             TCB_DCHECK(
                 tr.spliced ||
-                    src_cache.seg_row(tr.row.value())[span_begin] ==
+                    src_cache_.seg_row(tr.row.value())[span_begin] ==
                         static_cast<std::int32_t>(tr.seg_index),
                 "decode: track's source segment disagrees with the plan");
 
-            WorkspaceScope scope;
-            float* scores = scope.alloc(static_cast<std::size_t>(span));
             for (Index j = 0; j < span; ++j) {
               const float* kv =
                   st.cross_k.row(row_base + span_begin + j) + head_off;

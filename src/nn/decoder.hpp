@@ -231,6 +231,9 @@ class DecodeSession {
   /// Self-attention groups (per slot when slotted_, per row otherwise),
   /// index-aligned with tracks_.
   SlotGroupTable groups_;
+  /// Source mask geometry of the formation-time plan, for step()'s debug
+  /// checks of each track's source segment.
+  SegmentCache src_cache_;
   Index max_steps_ = 0;
   std::vector<DecodeTrack> tracks_;
   std::vector<LayerState> states_;     ///< one per decoder layer

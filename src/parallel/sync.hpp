@@ -149,19 +149,15 @@ class CondVar {
 /// lock-order-graph rule checks the same ranks whole-program, so the two
 /// analyses enforce one canonical order:
 ///
-///   admission < formation < execution < pool < latch
+///   execution < pool < latch
 ///
-/// i.e. the admission queue's lock is acquired before (never inside) any
-/// batch-formation lock, which precedes the execution ledger, which
-/// precedes the thread-pool queue lock, with the pool's completion latch
-/// innermost. The anchors are zero-cost: never locked, and `inline` vars
-/// of an empty-beyond-std::mutex type.
+/// i.e. the execution ledger's lock is acquired before (never inside) the
+/// thread-pool queue lock, with the pool's completion latch innermost.
+/// Admission, batch formation and slot allocation hold no lock: the serving
+/// coordinator owns that state outright. The anchors are zero-cost: never
+/// locked, and `inline` vars of an empty-beyond-std::mutex type.
 namespace lock_order {
-inline Mutex admission TCB_LOCK_ORDER_ANCHOR;
-inline Mutex formation TCB_LOCK_ORDER_ANCHOR
-    TCB_ACQUIRED_AFTER(lock_order::admission);
-inline Mutex execution TCB_LOCK_ORDER_ANCHOR
-    TCB_ACQUIRED_AFTER(lock_order::formation);
+inline Mutex execution TCB_LOCK_ORDER_ANCHOR;
 inline Mutex pool TCB_LOCK_ORDER_ANCHOR
     TCB_ACQUIRED_AFTER(lock_order::execution);
 inline Mutex latch TCB_LOCK_ORDER_ANCHOR

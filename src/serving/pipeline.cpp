@@ -154,9 +154,8 @@ PipelineResult ServingPipeline::run(const std::vector<Request>& trace) const {
   double trace_end = 0.0;
   for (const auto& req : trace) trace_end = std::max(trace_end, req.arrival);
 
-  // Stage 1 state: the bounded admission queue. The driver is
-  // single-threaded (arrivals come from the trace), so a full queue drains
-  // inline; a concurrent ingest frontend would block in push() instead.
+  // Stage 1 state: the bounded admission queue, owned by this coordinator.
+  // Arrivals come from the trace, so a full queue drains inline.
   RequestQueue admission(cfg_.admission_capacity);
 
   // Run-to-completion stage 5/6 state. Order matters: the ledger outlives

@@ -11,88 +11,21 @@ RequestQueue::RequestQueue(std::size_t capacity) : capacity_(capacity) {
   TCB_CHECK(capacity_ >= 1, "RequestQueue: capacity must be >= 1");
 }
 
-bool RequestQueue::push(Request r) {
-  {
-    MutexLock lock(mutex_);
-    while (!closed_ && items_.size() >= capacity_) not_full_.wait(lock);
-    if (closed_) return false;
-    TCB_DCHECK(items_.size() < capacity_, "RequestQueue: bound violated");
-    items_.push_back(std::move(r));
-  }
-  not_empty_.notify_one();
-  return true;
-}
-
 bool RequestQueue::try_push(Request r) {
-  {
-    const MutexLock lock(mutex_);
-    if (closed_ || items_.size() >= capacity_) return false;
-    items_.push_back(std::move(r));
-  }
-  not_empty_.notify_one();
+  if (items_.size() >= capacity_) return false;
+  items_.push_back(std::move(r));
   return true;
-}
-
-std::optional<Request> RequestQueue::pop() {
-  std::optional<Request> out;
-  {
-    MutexLock lock(mutex_);
-    while (!closed_ && items_.empty()) not_empty_.wait(lock);
-    if (items_.empty()) return std::nullopt;  // closed and drained
-    out.emplace(std::move(items_.front()));
-    items_.pop_front();
-  }
-  not_full_.notify_one();
-  return out;
-}
-
-std::optional<Request> RequestQueue::try_pop() {
-  std::optional<Request> out;
-  {
-    const MutexLock lock(mutex_);
-    if (items_.empty()) return std::nullopt;
-    out.emplace(std::move(items_.front()));
-    items_.pop_front();
-  }
-  not_full_.notify_one();
-  return out;
 }
 
 std::vector<Request> RequestQueue::drain_by_deadline() {
   std::vector<Request> out;
-  {
-    const MutexLock lock(mutex_);
-    out.assign(std::make_move_iterator(items_.begin()),
-               std::make_move_iterator(items_.end()));
-    items_.clear();
-  }
-  // Every producer blocked on backpressure can make progress now.
-  not_full_.notify_all();
+  out.swap(items_);
   std::sort(out.begin(), out.end(), [](const Request& a, const Request& b) {
     if (a.deadline != b.deadline) return a.deadline < b.deadline;
     if (a.arrival != b.arrival) return a.arrival < b.arrival;
     return a.id < b.id;
   });
   return out;
-}
-
-void RequestQueue::close() {
-  {
-    const MutexLock lock(mutex_);
-    closed_ = true;
-  }
-  not_full_.notify_all();
-  not_empty_.notify_all();
-}
-
-bool RequestQueue::closed() const {
-  const MutexLock lock(mutex_);
-  return closed_;
-}
-
-std::size_t RequestQueue::size() const {
-  const MutexLock lock(mutex_);
-  return items_.size();
 }
 
 }  // namespace tcb

@@ -1,37 +1,22 @@
-// Bounded MPMC request-admission queue — stage 1 of the staged serving
-// pipeline (serving/pipeline.hpp, DESIGN.md §10.1; TurboTransformers and
-// CascadeInfer both put a concurrent admission path in front of the batch
-// scheduler).
+// Bounded request-admission queue — stage 1 of the staged serving pipeline
+// (serving/pipeline.hpp, DESIGN.md §10.1).
 //
-// Roles:
-//   * producers — RPC/ingest threads admitting Requests; push() blocks when
-//     the queue is full (bounded-capacity backpressure, so a traffic spike
-//     queues at the edge instead of ballooning resident memory). The
-//     pipeline's trace driver uses try_push and counts rejections as
-//     ServingReport::backpressure_events;
-//   * consumers — scheduler/worker threads taking requests one at a time
-//     (pop / try_pop), or snapshotting the whole admitted set in deadline
-//     order (drain_by_deadline — the shape DAS's pending-set scan wants,
-//     paper Algorithm 1 sorts N^D_t by earliest deadline). ServingPipeline
-//     drains before every scheduling decision.
+// The trace driver admits arrivals with try_push and counts rejections as
+// ServingReport::backpressure_events (bounded-capacity backpressure, so a
+// traffic spike queues at the edge instead of ballooning resident memory).
+// Before every scheduling decision it takes the whole admitted set in
+// deadline order with drain_by_deadline — the shape DAS's pending-set scan
+// wants (paper Algorithm 1 sorts N^D_t by earliest deadline).
 //
-// Shutdown: close() makes further pushes fail, wakes every waiter, and lets
-// consumers drain what was already admitted; pop() returns nullopt only when
-// the queue is closed *and* empty, so no admitted request is ever dropped.
-//
-// The whole class is written under Clang Thread Safety Analysis from day
-// one: `items_`/`closed_` are TCB_GUARDED_BY(mutex_), every entry point is
-// TCB_EXCLUDES(mutex_), and a clang build with TCB_THREAD_SAFETY=ON proves
-// the lock discipline at compile time (DESIGN.md §9 has the capability map).
+// Not thread-safe: the serving coordinator owns the queue and is its only
+// caller. A concurrent ingest front-end would need its own synchronized
+// hand-off in front of it.
 #pragma once
 
 #include <cstddef>
-#include <deque>
-#include <optional>
 #include <vector>
 
 #include "batching/request.hpp"
-#include "parallel/sync.hpp"
 
 namespace tcb {
 
@@ -44,44 +29,20 @@ class RequestQueue {
   RequestQueue(const RequestQueue&) = delete;
   RequestQueue& operator=(const RequestQueue&) = delete;
 
-  /// Blocking admit: waits while the queue is full. Returns false (and
-  /// drops `r`) iff the queue was closed before space freed up.
-  bool push(Request r) TCB_EXCLUDES(mutex_);
+  /// Admits `r`; false (dropping `r`) when the queue is full.
+  bool try_push(Request r);
 
-  /// Non-blocking admit: false when full or closed.
-  bool try_push(Request r) TCB_EXCLUDES(mutex_);
+  /// Scheduler drain: removes *all* admitted requests and returns them
+  /// sorted by (deadline, arrival, id) — earliest-deadline first, the order
+  /// DAS's deadline-aware set N^D_t consumes.
+  std::vector<Request> drain_by_deadline();
 
-  /// Blocking take in admission (FIFO) order: waits while the queue is
-  /// empty and open; nullopt iff closed and fully drained.
-  std::optional<Request> pop() TCB_EXCLUDES(mutex_);
-
-  /// Non-blocking take: nullopt when nothing is admitted right now (says
-  /// nothing about closed-ness; poll closed() for shutdown).
-  std::optional<Request> try_pop() TCB_EXCLUDES(mutex_);
-
-  /// Scheduler drain: atomically removes *all* admitted requests and
-  /// returns them sorted by (deadline, arrival, id) — earliest-deadline
-  /// first, the order DAS's deadline-aware set N^D_t consumes. Wakes blocked
-  /// producers (their backpressure wait just gained `capacity` slots).
-  std::vector<Request> drain_by_deadline() TCB_EXCLUDES(mutex_);
-
-  /// Closes the queue: subsequent pushes fail, blocked producers and
-  /// consumers wake. Idempotent.
-  void close() TCB_EXCLUDES(mutex_);
-
-  [[nodiscard]] bool closed() const TCB_EXCLUDES(mutex_);
-  /// Admitted-but-untaken count; a snapshot, stale by the time you act on it.
-  [[nodiscard]] std::size_t size() const TCB_EXCLUDES(mutex_);
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
+  /// Admitted-but-undrained count.
+  [[nodiscard]] std::size_t size() const noexcept { return items_.size(); }
 
  private:
-  const std::size_t capacity_;  ///< immutable after construction
-  mutable Mutex mutex_ TCB_GUARDS(items_, closed_)
-      TCB_ACQUIRED_AFTER(lock_order::admission);
-  CondVar not_full_;   ///< producers wait here; signalled on take/close
-  CondVar not_empty_;  ///< consumers wait here; signalled on admit/close
-  std::deque<Request> items_ TCB_GUARDED_BY(mutex_);
-  bool closed_ TCB_GUARDED_BY(mutex_) = false;
+  std::size_t capacity_;
+  std::vector<Request> items_;  ///< admission order
 };
 
 }  // namespace tcb

@@ -5,6 +5,7 @@
 #include <cstdint>
 
 #include "parallel/sync.hpp"
+#include "parallel/thread_pool.hpp"
 #include "util/check.hpp"
 
 namespace tcb {
@@ -106,6 +107,17 @@ WorkspaceScope::~WorkspaceScope() {
              "WorkspaceScope destroyed out of LIFO order");
   --ws_.live_scopes_;
   ws_.rewind(mark_);
+}
+
+ChunkScratch::ChunkScratch(std::size_t tasks, std::size_t floats)
+    : chunks_(std::min(ThreadPool::global().parallelism(), tasks)),
+      per_chunk_((floats + kAlignFloats - 1) & ~(kAlignFloats - 1)),
+      base_(scope_.alloc(chunks_ * per_chunk_)) {}
+
+float* ChunkScratch::claim() {
+  const std::size_t chunk = next_.fetch_add(1, std::memory_order_relaxed);
+  TCB_DCHECK(chunk < chunks_, "ChunkScratch: more chunks than slabs");
+  return base_ + chunk * per_chunk_;
 }
 
 }  // namespace tcb

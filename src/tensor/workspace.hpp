@@ -16,15 +16,18 @@
 //   ...                                   // nested scopes rewind LIFO
 //
 // Threading: `Workspace::this_thread()` returns a thread_local instance, so
-// scratch never crosses threads and no locking exists on the alloc path. The
-// only shared state is a pair of process-wide TCB_LOCK_FREE counters
-// (monotonic statistics, read by tests and benches).
+// no locking exists on the alloc path. The only shared state is a pair of
+// process-wide TCB_LOCK_FREE counters (monotonic statistics, read by tests
+// and benches) and ChunkScratch's slab counter: ChunkScratch hands slabs of
+// the calling thread's arena to the chunks of one parallel_for.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "parallel/sync.hpp"
 #include "util/lifetime.hpp"
 
 namespace tcb {
@@ -108,6 +111,29 @@ class WorkspaceScope {
   Workspace& ws_;
   Workspace::Mark mark_;
   std::uint32_t depth_;
+};
+
+/// Scratch for one global-pool parallel_for over `tasks` items (grain 1):
+/// one 64-byte-aligned slab of `floats` floats per chunk, carved from the
+/// calling thread's arena before the fan-out, so pool workers never grow
+/// arenas of their own — a worker that sat out every warm-up call cannot
+/// allocate later. parallel_for runs at most min(parallelism, tasks)
+/// chunks, and each claims one slab. Must outlive the parallel_for.
+class ChunkScratch {
+ public:
+  ChunkScratch(std::size_t tasks, std::size_t floats);
+  ChunkScratch(const ChunkScratch&) = delete;
+  ChunkScratch& operator=(const ChunkScratch&) = delete;
+
+  /// The calling chunk's slab; each chunk calls this once.
+  [[nodiscard]] float* claim() TCB_LIFETIME_BOUND;
+
+ private:
+  WorkspaceScope scope_;
+  std::size_t chunks_;
+  std::size_t per_chunk_;
+  float* base_;
+  std::atomic<std::size_t> next_ TCB_LOCK_FREE{0};
 };
 
 }  // namespace tcb

@@ -1,26 +1,12 @@
-// RequestQueue (src/serving/request_queue.hpp) — bounded MPMC admission
-// queue. Covers single-threaded semantics (FIFO, capacity, close), the
-// deadline-ordered drain hook, and the multi-producer/multi-consumer driver:
-// producers × consumers under backpressure, close-while-waiting on both
-// sides, every admitted request delivered exactly once. The whole suite runs
-// under the default, tsan, and clang-tsa presets like every other test.
-//
-// Worker fan-out goes through tcb::ThreadPool (the engine's sanctioned
-// concurrency API — raw std::thread here would trip tcb-lint's
-// threads-only-in-parallel); each task below is independent, so a pool sized
-// to the task count runs them all concurrently.
+// RequestQueue (src/serving/request_queue.hpp) — the bounded admission
+// queue the serving coordinator owns: the capacity bound and the
+// deadline-ordered drain.
 #include "serving/request_queue.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <future>
-#include <thread>
 #include <vector>
 
-#include "parallel/thread_pool.hpp"
 #include "util/check.hpp"
 
 namespace tcb {
@@ -39,69 +25,21 @@ TEST(RequestQueueTest, RejectsZeroCapacity) {
   EXPECT_THROW(RequestQueue{0}, CheckError);
 }
 
-TEST(RequestQueueTest, FifoSingleThread) {
-  RequestQueue q(4);
-  EXPECT_TRUE(q.push(make_request(1, 1.0)));
-  EXPECT_TRUE(q.push(make_request(2, 2.0)));
-  EXPECT_TRUE(q.push(make_request(3, 3.0)));
-  EXPECT_EQ(q.size(), 3u);
-  EXPECT_EQ(q.pop()->id, 1);
-  EXPECT_EQ(q.pop()->id, 2);
-  EXPECT_EQ(q.try_pop()->id, 3);
-  EXPECT_FALSE(q.try_pop().has_value());
-  EXPECT_EQ(q.size(), 0u);
-}
-
 TEST(RequestQueueTest, TryPushHonorsCapacity) {
   RequestQueue q(2);
   EXPECT_TRUE(q.try_push(make_request(1, 1.0)));
   EXPECT_TRUE(q.try_push(make_request(2, 2.0)));
   EXPECT_FALSE(q.try_push(make_request(3, 3.0))) << "queue is full";
-  ASSERT_TRUE(q.try_pop().has_value());
-  EXPECT_TRUE(q.try_push(make_request(3, 3.0))) << "space freed by pop";
-}
-
-TEST(RequestQueueTest, CloseFailsFurtherPushesButDrains) {
-  RequestQueue q(4);
-  EXPECT_TRUE(q.push(make_request(1, 1.0)));
-  q.close();
-  EXPECT_TRUE(q.closed());
-  EXPECT_FALSE(q.push(make_request(2, 2.0)));
-  EXPECT_FALSE(q.try_push(make_request(2, 2.0)));
-  ASSERT_TRUE(q.pop().has_value()) << "admitted requests drain after close";
-  EXPECT_FALSE(q.pop().has_value()) << "closed and drained -> nullopt";
-}
-
-TEST(RequestQueueTest, CloseWakesConsumerBlockedOnEmpty) {
-  RequestQueue q(4);
-  ThreadPool pool(1);
-  auto popped = std::make_shared<std::optional<Request>>(make_request(9, 9.0));
-  auto fut = pool.submit([&q, popped] { *popped = q.pop(); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  q.close();
-  fut.wait();
-  EXPECT_FALSE(popped->has_value()) << "blocked pop must observe close";
-}
-
-TEST(RequestQueueTest, CloseWakesProducerBlockedOnBackpressure) {
-  RequestQueue q(1);
-  ThreadPool pool(1);
-  ASSERT_TRUE(q.push(make_request(1, 1.0)));  // fill to capacity
-  auto pushed = std::make_shared<bool>(true);
-  auto fut =
-      pool.submit([&q, pushed] { *pushed = q.push(make_request(2, 2.0)); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  q.close();
-  fut.wait();
-  EXPECT_FALSE(*pushed) << "blocked push must observe close and fail";
+  ASSERT_FALSE(q.drain_by_deadline().empty());
+  EXPECT_TRUE(q.try_push(make_request(3, 3.0))) << "space freed by drain";
 }
 
 TEST(RequestQueueTest, DrainByDeadlineSortsAndEmpties) {
   RequestQueue q(8);
-  ASSERT_TRUE(q.push(make_request(1, 5.0)));
-  ASSERT_TRUE(q.push(make_request(2, 1.0)));
-  ASSERT_TRUE(q.push(make_request(3, 3.0, /*arrival=*/0.5)));
-  ASSERT_TRUE(q.push(make_request(4, 3.0, /*arrival=*/0.25)));
+  ASSERT_TRUE(q.try_push(make_request(1, 5.0)));
+  ASSERT_TRUE(q.try_push(make_request(2, 1.0)));
+  ASSERT_TRUE(q.try_push(make_request(3, 3.0, /*arrival=*/0.5)));
+  ASSERT_TRUE(q.try_push(make_request(4, 3.0, /*arrival=*/0.25)));
   const std::vector<Request> drained = q.drain_by_deadline();
   ASSERT_EQ(drained.size(), 4u);
   EXPECT_EQ(drained[0].id, 2) << "earliest deadline first";
@@ -109,64 +47,7 @@ TEST(RequestQueueTest, DrainByDeadlineSortsAndEmpties) {
   EXPECT_EQ(drained[2].id, 3);
   EXPECT_EQ(drained[3].id, 1);
   EXPECT_EQ(q.size(), 0u);
-  EXPECT_FALSE(q.try_pop().has_value());
-}
-
-TEST(RequestQueueTest, DrainWakesProducerBlockedOnBackpressure) {
-  RequestQueue q(1);
-  ThreadPool pool(1);
-  ASSERT_TRUE(q.push(make_request(1, 1.0)));
-  auto fut = pool.submit([&q] { ASSERT_TRUE(q.push(make_request(2, 2.0))); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(q.drain_by_deadline().size(), 1u);
-  fut.wait();  // unblocked by the drain's notify_all
-  EXPECT_EQ(q.size(), 1u);
-  q.close();
-}
-
-TEST(RequestQueueTest, MpmcStressDeliversEveryRequestExactlyOnce) {
-  // static: the worker lambdas below read these without capturing them.
-  static constexpr int kProducers = 4;
-  static constexpr int kConsumers = 4;
-  static constexpr int kPerProducer = 250;
-  static constexpr std::size_t kCapacity = 8;  // << total => backpressure
-
-  RequestQueue q(kCapacity);
-  ThreadPool pool(kProducers + kConsumers);
-  std::vector<std::future<void>> producers;
-  std::vector<std::future<void>> consumers;
-  std::vector<std::vector<RequestId>> taken(kConsumers);
-
-  for (int c = 0; c < kConsumers; ++c) {
-    consumers.push_back(pool.submit([&q, &taken, c] {
-      while (auto r = q.pop()) {
-        // The bound must hold at every observable instant.
-        ASSERT_LE(q.size(), kCapacity);
-        taken[static_cast<std::size_t>(c)].push_back(r->id);
-      }
-    }));
-  }
-  for (int p = 0; p < kProducers; ++p) {
-    producers.push_back(pool.submit([&q, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        const auto id = static_cast<RequestId>(p * kPerProducer + i);
-        ASSERT_TRUE(q.push(make_request(id, static_cast<double>(id))));
-      }
-    }));
-  }
-
-  for (auto& f : producers) f.get();
-  q.close();  // producers done: let consumers drain and exit
-  for (auto& f : consumers) f.get();
-
-  std::vector<RequestId> all;
-  for (const auto& v : taken) all.insert(all.end(), v.begin(), v.end());
-  std::sort(all.begin(), all.end());
-  ASSERT_EQ(all.size(),
-            static_cast<std::size_t>(kProducers) * kPerProducer);
-  for (std::size_t i = 0; i < all.size(); ++i)
-    ASSERT_EQ(all[i], static_cast<RequestId>(i))
-        << "request lost or duplicated";
+  EXPECT_TRUE(q.drain_by_deadline().empty());
 }
 
 }  // namespace

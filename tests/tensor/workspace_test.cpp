@@ -7,9 +7,11 @@
 #include <cstdint>
 #include <vector>
 
+#include "batching/concat_batcher.hpp"
+#include "batching/packed_batch.hpp"
 #include "nn/attention.hpp"
+#include "nn/model.hpp"
 #include "tensor/ops.hpp"
-#include "tensor/tuning.hpp"
 #include "tensor/workspace.hpp"
 
 namespace tcb {
@@ -123,8 +125,8 @@ TEST(WorkspaceTest, SteadyStateForwardPathIsHeapAllocationFree) {
   plan.validate();
   const Tensor x = Tensor::random_uniform(Shape{width, cfg.d_model}, rng, 1.0f);
 
-  // Warm-up: triggers any autotuning, grows every worker's arena to its
-  // steady footprint, and shapes the thread_local activation tensors.
+  // Warm-up: grows the calling thread's arena to its steady footprint and
+  // shapes the thread_local activation tensors.
   for (int i = 0; i < 3; ++i)
     (void)mha.encoder_forward(x, plan, Col{width}, AttentionMode::kPureConcat);
 
@@ -133,6 +135,41 @@ TEST(WorkspaceTest, SteadyStateForwardPathIsHeapAllocationFree) {
     (void)mha.encoder_forward(x, plan, Col{width}, AttentionMode::kPureConcat);
   EXPECT_EQ(Workspace::total_chunk_allocs(), warmed)
       << "steady-state forward grew a workspace arena";
+}
+
+TEST(WorkspaceTest, DecodeScratchComesFromTheCallingThread) {
+  // Decoder attention scratch is carved from the calling thread's arena
+  // before each fan-out, so once that arena is big enough no decode grows
+  // any arena — not even on a pool worker that sat out earlier decodes.
+  // tests/CMakeLists.txt runs this again under TCB_THREADS=4.
+  const ModelConfig cfg = ModelConfig::test_scale();
+  const Seq2SeqModel model(cfg);
+  Rng rng(11);
+  std::vector<Request> reqs;
+  for (RequestId id = 0; id < 6; ++id) {
+    Request r;
+    r.id = id;
+    r.length = 3 + id % 3;
+    for (Index t = 0; t < r.length; ++t)
+      r.tokens.push_back(rng.uniform_int(kFirstWordToken, cfg.vocab_size - 1));
+    reqs.push_back(std::move(r));
+  }
+  const auto built = ConcatBatcher().build(reqs, Row{2}, Col{16});
+  const EncoderMemory memory =
+      model.encode(pack_batch(built.plan, reqs), InferenceOptions{});
+  DecodeOptions opts;
+  opts.max_steps = 8;
+
+  {
+    WorkspaceScope grow;  // far beyond what this decode needs
+    (void)grow.alloc(std::size_t{1} << 20);
+  }
+  const std::uint64_t grown = Workspace::total_chunk_allocs();
+  const DecodeResult first = greedy_decode(model, memory, opts);
+  const DecodeResult second = greedy_decode(model, memory, opts);
+  EXPECT_EQ(Workspace::total_chunk_allocs(), grown)
+      << "a decode grew a workspace arena";
+  EXPECT_EQ(second.outputs, first.outputs);
 }
 
 }  // namespace

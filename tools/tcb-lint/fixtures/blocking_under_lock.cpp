@@ -1,26 +1,26 @@
 // Fixture: a blocking call made while a tcb::Mutex is held.  The class is
-// named RequestQueue on purpose — push/pop on the admission queue are
-// blocking seeds for no-blocking-under-lock (the real queue blocks on a
-// CondVar when full/empty), so Worker::drain calling q.push(...) while
-// holding its own mutex risks deadlock and unbounded lock hold times.
+// named TaskGroup on purpose — TaskGroup::join is a blocking seed for
+// no-blocking-under-lock (the real one waits on every in-flight task), so
+// Worker::drain calling g.join() while holding its own mutex risks deadlock
+// and unbounded lock hold times.
 // expect: no-blocking-under-lock
 
 namespace demo {
 
-class RequestQueue {
+class TaskGroup {
  public:
-  void push(int v) { last_ = v; }  // seed by name; body irrelevant
+  void join() { joined_ = true; }  // seed by name; body irrelevant
 
  private:
-  int last_ = 0;
+  bool joined_ = false;
 };
 
 class Worker {
  public:
-  void drain(RequestQueue& q) {
+  void drain(TaskGroup& g) {
     tcb::MutexLock l(mu_);
     pending_ = 0;
-    q.push(1);  // flagged: blocking call under Worker::mu_
+    g.join();  // flagged: blocking call under Worker::mu_
   }
 
  private:

@@ -1,27 +1,27 @@
 // Clean control for no-blocking-under-lock: the two sanctioned shapes.
-// Worker::drain drops its lock before the blocking push, and
+// Worker::drain drops its lock before the blocking join, and
 // Worker::wait_for_item uses the direct cv.wait(lock) pattern — the one
 // blocking call that is exempt at its own site, because the wait releases
 // the mutex while sleeping.  (No `// expect:` lines on purpose.)
 
 namespace demo {
 
-class RequestQueue {
+class TaskGroup {
  public:
-  void push(int v) { last_ = v; }
+  void join() { joined_ = true; }
 
  private:
-  int last_ = 0;
+  bool joined_ = false;
 };
 
 class Worker {
  public:
-  void drain(RequestQueue& q) {
+  void drain(TaskGroup& g) {
     {
       tcb::MutexLock l(mu_);
       pending_ = 0;
     }  // lock released before the blocking call: clean
-    q.push(1);
+    g.join();
   }
 
   void wait_for_item() {

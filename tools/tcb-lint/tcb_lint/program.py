@@ -19,7 +19,7 @@ same comment/string-blanked `SourceFile`s the per-file rules use:
 Precision policy: this is a lexical analysis, so resolution can fail
 (templates, call-result receivers, lambdas).  Unresolved receivers are
 *never* flagged — a `std::queue::pop` under a lock must not be confused
-with the blocking `RequestQueue::pop`.  Lambda bodies are blanked before
+with the blocking `TaskGroup::join`.  Lambda bodies are blanked before
 scope analysis: code captured into a lambda runs later, on another thread,
 not under the lock held at the capture site.  Virtual calls fan out to
 every override found in subclasses of the receiver's static type.
@@ -293,8 +293,6 @@ class ProgramIndex:
     """Cross-TU facts for one lint set (the real tree, or one fixture dir)."""
 
     BLOCKING_SEEDS = {
-        "RequestQueue::push": "blocks on CondVar::wait until queue space frees",
-        "RequestQueue::pop": "blocks on CondVar::wait until an item arrives",
         "TaskGroup::join": "blocks on future::get for every in-flight task",
         "ThreadPool::submit": "acquires the pool mutex and may run the task "
                               "inline when the pool has no workers",

@@ -9,8 +9,8 @@ lock-order-graph       builds the global acquired-before graph from every
                        suggests TCB_ACQUIRED_AFTER annotations for edges the
                        declared order does not cover.
 
-no-blocking-under-lock flags calls that may block — RequestQueue::push/pop,
-                       TaskGroup::join, ThreadPool::submit/parallel_for,
+no-blocking-under-lock flags calls that may block — TaskGroup::join,
+                       ThreadPool::submit/parallel_for,
                        anything that transitively waits on a CondVar or
                        sleeps — made while a tcb::Mutex is held.  A direct
                        `cv.wait(lock)` is the sanctioned pattern and is
@@ -262,8 +262,8 @@ class LockOrderGraph(ProgramRule):
 class NoBlockingUnderLock(ProgramRule):
     """No potentially-blocking call while a tcb::Mutex is held.
 
-    A queue pop or pool join under a lock serializes the pool behind one
-    mutex at best and deadlocks at worst (the blocked thread may need the
+    A task-group join or pool submit under a lock serializes the pool
+    behind one mutex at best and deadlocks at worst (the blocked thread may need the
     lock to make progress). The property is transitive: calling a helper
     that blocks is still blocking.
 
@@ -275,8 +275,8 @@ class NoBlockingUnderLock(ProgramRule):
     """
 
     name = "no-blocking-under-lock"
-    description = ("no call that may block (RequestQueue::push/pop, "
-                   "TaskGroup::join, ThreadPool::submit/parallel_for, "
+    description = ("no call that may block (TaskGroup::join, "
+                   "ThreadPool::submit/parallel_for, "
                    "transitive CondVar waits, sleeps) may be made while a "
                    "tcb::Mutex is held; direct cv.wait(lock) is the "
                    "sanctioned pattern and stays exempt")

@@ -3,10 +3,10 @@
 
 no-ref-capture-escape  a lambda that captures locals by reference (or
                        `this`) must not flow into a parameter declared
-                       TCB_ESCAPES (ThreadPool::submit, TaskGroup::spawn,
-                       RequestQueue callbacks): the callable outlives the
-                       call, so every by-ref capture is a latent dangling
-                       reference.  Escape sinks propagate through wrappers
+                       TCB_ESCAPES (ThreadPool::submit, TaskGroup::spawn):
+                       the callable outlives the call, so every by-ref
+                       capture is a latent dangling reference.  Escape
+                       sinks propagate through wrappers
                        resolved in the call-graph index, so a helper that
                        forwards its callable into `submit` is itself a
                        sink even when it lives in another TU.  The

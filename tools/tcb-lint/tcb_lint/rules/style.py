@@ -345,7 +345,7 @@ class IncludeLayering(Rule):
         "util": set(),
         "parallel": {"util"},
         "tensor": {"parallel", "util"},
-        "batching": {"parallel", "tensor", "util"},
+        "batching": {"tensor", "util"},
         "text": {"batching", "tensor", "util"},
         "workload": {"batching", "tensor", "util"},
         "sched": {"batching", "tensor", "util"},
